@@ -101,6 +101,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) 
   graph.connect(classify, counts);
 
   RunInfo run;
+  remove_local_files(*env.cluster, "out/classification/cluster");
   run.engine_result = env.engine->run(graph, inputs_for(loader, input));
   run.seconds = run.engine_result.wall_seconds;
   return run;

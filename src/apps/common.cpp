@@ -105,10 +105,17 @@ std::map<std::string, std::string> collect_local_kv(cluster::Cluster& cluster,
     for (const std::string& path : cluster.node(n).store().list(prefix)) {
       auto data = cluster.node(n).store().read_file(path);
       data.status().ExpectOk();
-      parse_kv_lines(data.value(), &out);
+      parse_kv_lines(*data.value(), &out);
     }
   }
   return out;
+}
+
+void remove_local_files(cluster::Cluster& cluster, const std::string& prefix) {
+  for (uint32_t n = 0; n < cluster.size(); ++n) {
+    storage::FileStore& store = cluster.node(n).store();
+    for (const std::string& path : store.list(prefix)) (void)store.remove(path);
+  }
 }
 
 std::map<std::string, std::string> collect_dfs_kv(BenchEnv& env,

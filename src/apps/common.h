@@ -72,6 +72,11 @@ engine::JobInputs inputs_for(uint32_t loader, const StagedInput& staged);
 std::map<std::string, std::string> collect_local_kv(cluster::Cluster& cluster,
                                                     const std::string& prefix);
 
+// Removes every node-local file whose path starts with `prefix`. Jobs whose
+// outputs are appended to call it when they start, so a rerun does not count
+// an earlier run's output again.
+void remove_local_files(cluster::Cluster& cluster, const std::string& prefix);
+
 // Merges "key\tvalue" lines of every DFS part file under `dir`.
 std::map<std::string, std::string> collect_dfs_kv(BenchEnv& env,
                                                   const std::string& dir);

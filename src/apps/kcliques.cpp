@@ -316,7 +316,7 @@ std::set<std::string> hamr_cliques(BenchEnv& env) {
     for (const std::string& path : env.cluster->node(n).store().list("out/kcliques/")) {
       auto data = env.cluster->node(n).store().read_file(path);
       data.status().ExpectOk();
-      const std::string& text = data.value();
+      const std::string& text = *data.value();
       size_t pos = 0;
       while (pos < text.size()) {
         size_t eol = text.find('\n', pos);

@@ -329,6 +329,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
   }
 
   RunInfo run;
+  remove_local_files(*env.cluster, "out/kmeans/cluster");
   run.engine_result = env.engine->run(graph, inputs_for(loader, input));
   run.seconds = run.engine_result.wall_seconds;
   return run;
@@ -388,6 +389,7 @@ IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
     graph.connect(newc, info_get);
     graph.connect(info_get, update);
 
+    remove_local_files(*env.cluster, "out/kmeans/cluster");
     run.engine_results.push_back(env.engine->run(graph, inputs));
     if (writer) writer->commit();
     run.final_centroids = hamr_new_centroids(env);
@@ -435,7 +437,7 @@ std::map<uint32_t, std::string> hamr_new_centroids(BenchEnv& env) {
   data.status().ExpectOk();
   std::map<std::string, std::string> kv;
   size_t pos = 0;
-  const std::string& text = data.value();
+  const std::string& text = *data.value();
   while (pos < text.size()) {
     size_t eol = text.find('\n', pos);
     if (eol == std::string::npos) eol = text.size();
@@ -464,7 +466,7 @@ std::map<uint32_t, uint64_t> hamr_cluster_sizes(BenchEnv& env) {
       auto data = env.cluster->node(n).store().read_file(path);
       data.status().ExpectOk();
       uint64_t lines = 0;
-      for (char c : data.value()) lines += c == '\n';
+      for (char c : *data.value()) lines += c == '\n';
       sizes[cluster] += lines;
     }
   }

@@ -6,20 +6,6 @@
 #include "serde/serde.h"
 
 namespace hamr::cache {
-namespace {
-
-// Varint append directly into a std::string block (serde::Writer targets
-// ByteBuffer; cache blocks are pooled strings so record appends stay a
-// single buffer).
-void put_varint(std::string& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-}  // namespace
 
 bool next_record(const Dataset::Shard& shard, ShardCursor* cursor,
                  std::string_view* key, std::string_view* value) {
@@ -60,9 +46,9 @@ void DatasetWriter::append(uint32_t node, std::string_view key,
   ShardBuilder& b = *shards_.at(node);
   std::lock_guard<std::mutex> lock(b.mu);
   if (b.open_block.empty()) b.open_block = cache_->pooled_block();
-  put_varint(b.open_block, key.size());
+  serde::put_varint(b.open_block, key.size());
   b.open_block.append(key.data(), key.size());
-  put_varint(b.open_block, value.size());
+  serde::put_varint(b.open_block, value.size());
   b.open_block.append(value.data(), value.size());
   b.shard.records++;
   // Seal at the block target. A single record larger than the target still

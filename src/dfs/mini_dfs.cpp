@@ -17,14 +17,14 @@ MiniDfs::MiniDfs(cluster::Cluster& cluster, DfsConfig config)
         rpc_id::kReadBlock, [&node](NodeId /*caller*/, std::string_view arg) {
           auto data = node.store().read_file(std::string(arg));
           data.status().ExpectOk();
-          return std::move(data).value();
+          return std::string(*data.value());
         });
     node.rpc().register_method(
         rpc_id::kWriteBlock, [&node](NodeId /*caller*/, std::string_view arg) {
           // arg := varint path_len | path | data
           serde::Reader r(arg);
           const std::string path(r.get_bytes());
-          node.store().write_file(path, arg.substr(r.position()));
+          node.store().write_file(path, std::string(arg.substr(r.position())));
           return std::string();
         });
   }
@@ -68,7 +68,8 @@ Status MiniDfs::write(NodeId writer_node, const std::string& path,
     const std::string_view chunk = data.substr(block.offset, block.length);
     for (NodeId replica : block.replicas) {
       if (replica == writer_node) {
-        cluster_.node(replica).store().write_file(block_path(block.block_id), chunk);
+        cluster_.node(replica).store().write_file(block_path(block.block_id),
+                                                  std::string(chunk));
       } else {
         ByteBuffer buf;
         serde::Writer w(buf);
@@ -93,7 +94,10 @@ Result<std::string> MiniDfs::fetch_block(NodeId reader_node, const BlockInfo& bl
   // the network (disk charge happens on the replica inside the RPC handler).
   for (NodeId replica : block.replicas) {
     if (replica == reader_node) {
-      return cluster_.node(reader_node).store().read_file(block_path(block.block_id));
+      auto data =
+          cluster_.node(reader_node).store().read_file(block_path(block.block_id));
+      if (!data.ok()) return data.status();
+      return std::string(*data.value());
     }
   }
   const NodeId source = block.replicas.at(reader_node % block.replicas.size());

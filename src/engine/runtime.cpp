@@ -41,6 +41,14 @@ Duration backoff_after(Duration base, Duration cap, uint32_t attempt) {
 
 }  // namespace
 
+uint64_t internal::run_file_bytes(const std::vector<ReduceStage::Rec>& recs) {
+  uint64_t bytes = 0;
+  for (const ReduceStage::Rec& r : recs) {
+    bytes += storage::RunWriter::record_bytes(r.key_len, r.value_len);
+  }
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // TaskContext: the Context implementation handed to flowlet code for the
 // duration of one task. Buffers emissions into per-(edge, destination) bin
@@ -881,7 +889,8 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
                           static_cast<int64_t>(spill_bytes));
       std::stable_sort(to_spill.begin(), to_spill.end(),
                        internal::reduce_rec_less);
-      storage::RunWriter writer(&node_->store(), spill_file);
+      storage::RunWriter writer(&node_->store(), spill_file,
+                                internal::run_file_bytes(to_spill));
       for (const internal::ReduceStage::Rec& r : to_spill) {
         writer.add(r.key(), r.value());
       }

@@ -113,6 +113,10 @@ inline bool reduce_rec_less(const ReduceStage::Rec& a, const ReduceStage::Rec& b
   return a.key() < b.key();
 }
 
+// Exact run-file size of `recs` once written: the RunWriter size hint of a
+// spill or of a merge that re-encodes them.
+uint64_t run_file_bytes(const std::vector<ReduceStage::Rec>& recs);
+
 // Node-shared partial-reduce accumulator table, striped. Each stripe models
 // one contended shared-variable set (see RateGate). The accumulator map is a
 // flat open-addressing table with arena-backed keys: folding a record probes

@@ -1,6 +1,7 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <thread>
 
 #include "common/clock.h"
@@ -37,6 +38,13 @@ bool ShardedScheduler::push_bin(QueueItem&& item, bool force) {
     }
     if (stopping_.load()) return false;
   }
+  // Count before publishing: once the item is in a shard a worker may pop it
+  // and settle_batch may subtract these counts, which must never run ahead
+  // of the additions (an unsigned wrap would park push_bin on space_cv_ with
+  // no wakeup to come).
+  queued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  pending_bins_.fetch_add(1, std::memory_order_relaxed);
+  pending_.fetch_add(1);
   Shard& shard = shards_[item.src % shards_.size()];
   bool was_workless;
   {
@@ -44,9 +52,6 @@ bool ShardedScheduler::push_bin(QueueItem&& item, bool force) {
     was_workless = shard.bins.empty() && shard.tasks.empty();
     shard.bins.push_back(std::move(item));
   }
-  queued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  pending_bins_.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1);
   publish_gauges();
   // Only a workless -> workful transition wakes a worker: appends to an
   // already-workful shard ride the wakeup that transition already sent (a
@@ -59,13 +64,13 @@ bool ShardedScheduler::push_bin(QueueItem&& item, bool force) {
 void ShardedScheduler::push_task(std::function<void()> task) {
   const size_t i = task_rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   Shard& shard = shards_[i];
+  pending_.fetch_add(1);  // before the publish, as in push_bin
   bool was_workless;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     was_workless = shard.bins.empty() && shard.tasks.empty();
     shard.tasks.push_back(std::move(task));
   }
-  pending_.fetch_add(1);
   if (was_workless) notify_workers();
 }
 
@@ -209,10 +214,13 @@ bool ShardedScheduler::take_locked(Shard& shard, Work* out) {
 
 void ShardedScheduler::settle_batch(uint64_t units, uint64_t bins,
                                     uint64_t bytes) {
-  pending_.fetch_sub(units);
-  if (bins != 0) pending_bins_.fetch_sub(bins, std::memory_order_relaxed);
+  [[maybe_unused]] const uint64_t units_before = pending_.fetch_sub(units);
+  [[maybe_unused]] const uint64_t bins_before =
+      bins != 0 ? pending_bins_.fetch_sub(bins, std::memory_order_relaxed) : bins;
   const uint64_t before =
       queued_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  // Every unit settled here was counted by its push before it was published.
+  assert(units_before >= units && bins_before >= bins && before >= bytes);
   publish_gauges();
   if (bytes != 0 && before >= byte_budget_) {
     // Possibly just crossed back under budget: wake the delivery thread.

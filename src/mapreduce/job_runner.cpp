@@ -205,7 +205,7 @@ JobRunner::JobRunner(cluster::Cluster& cluster, dfs::MiniDfs& dfs)
         rpc_id::kFetchSegment, [&node](uint32_t /*caller*/, std::string_view arg) {
           auto data = node.store().read_file(std::string(arg));
           data.status().ExpectOk();
-          return std::move(data).value();
+          return std::string(*data.value());
         });
   }
 }
@@ -369,7 +369,7 @@ void JobRunner::run_reduce_task(const MrJobConfig& config, JobScratch& job,
     const std::string local_path = job.prefix + "shuffle_r" +
                                    std::to_string(reduce_id) + "_" +
                                    std::to_string(fetched++);
-    node.store().write_file(local_path, data.value());
+    node.store().write_file(local_path, std::move(data).value());
     local_runs.push_back(local_path);
   }
 

@@ -236,10 +236,8 @@ class RowScanLoader : public engine::LoaderFlowlet {
       throw std::runtime_error("query scan: cannot read " + split.path + ": " +
                                result.status().ToString());
     }
-    auto data =
-        std::make_shared<const std::string>(std::move(result).value());
     std::lock_guard<std::mutex> lock(mu_);
-    return cache_.emplace(split.path, std::move(data)).first->second;
+    return cache_.emplace(split.path, std::move(result).value()).first->second;
   }
 
   const std::shared_ptr<const ScanCompiled> c_;

@@ -301,7 +301,7 @@ std::string collect_output_payload(cluster::Cluster& cluster,
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     auto result = cluster.node(n).store().read_file(
         out_prefix + "node" + std::to_string(n));
-    if (result.ok()) payload += result.value();
+    if (result.ok()) payload += *result.value();
   }
   return payload;
 }

@@ -80,6 +80,23 @@ class Writer {
   ByteBuffer& out_;
 };
 
+// Varint append straight into a std::string (run files and cache blocks are
+// strings, not ByteBuffers); same encoding as Writer::put_varint.
+inline void put_varint(std::string& out, uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+// Encoded size of put_varint(v), for sizing buffers before encoding.
+inline size_t varint_size(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 // Reads encoded values from a non-owned byte range with strict bounds checks.
 class Reader {
  public:

@@ -30,36 +30,39 @@ class SortRunLoader : public engine::LoaderFlowlet {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!loaded_) {
-        Result<std::string> file = ctx.local_store().read_file(split.path);
+        Result<storage::FileBuffer> file = ctx.local_store().read_file(split.path);
         if (!file.ok()) {
           HLOG_ERROR << "sort loader: cannot read " << split.path << ": "
                      << file.status().ToString();
-          loaded_ = true;  // treat as empty: the job still completes
+          // Treat as empty: the job still completes.
+          data_ = std::make_shared<const std::string>();
         } else {
           data_ = std::move(file).value();
-          loaded_ = true;
         }
+        loaded_ = true;
       }
     }
+    const std::string& data = *data_;
     size_t pos = static_cast<size_t>(*cursor);
-    if (pos >= data_.size()) return false;
+    if (pos >= data.size()) return false;
     // The shared framed-record decode loop (also used by the query layer's
     // row scan): one bounds-checked cursor walk per chunk.
     std::vector<std::string_view> records;
     records.reserve(spec_.records_per_chunk);
-    serde::get_framed_run(data_, &pos, spec_.records_per_chunk, &records);
+    serde::get_framed_run(data, &pos, spec_.records_per_chunk, &records);
     for (const std::string_view rec : records) {
       ctx.emit(0, rec, std::string_view());
     }
     *cursor = pos;
-    return pos < data_.size();
+    return pos < data.size();
   }
 
  private:
   SortSpec spec_;
   std::mutex mu_;
   bool loaded_ = false;
-  std::string data_;  // stable: chunks hand out views into it within a call
+  // The store's immutable file buffer: chunks hand out views into it.
+  storage::FileBuffer data_;
 };
 
 // Receives this node's key range, staging records through an arena + prefix
@@ -103,7 +106,8 @@ class SortSink : public engine::MapFlowlet {
     if (!to_spill.empty()) {
       std::stable_sort(to_spill.begin(), to_spill.end(),
                        engine::internal::reduce_rec_less);
-      storage::RunWriter writer(&ctx.local_store(), spill_file);
+      storage::RunWriter writer(&ctx.local_store(), spill_file,
+                                engine::internal::run_file_bytes(to_spill));
       for (const Rec& r : to_spill) writer.add(r.key(), r.value());
       writer.close();
       spill_runs_c_->inc();
@@ -133,11 +137,15 @@ class SortSink : public engine::MapFlowlet {
         return true;
       }
     };
+    // The merged partition re-encodes every record unchanged: its exact size
+    // is the spill runs plus the in-memory records' encoded size.
+    uint64_t out_bytes = engine::internal::run_file_bytes(index_);
     std::vector<Source> sources;
     sources.reserve(spill_paths_.size() + 1);
     for (const std::string& path : spill_paths_) {
       Source s;
       s.reader = std::make_unique<storage::RunReader>(&ctx.local_store(), path);
+      out_bytes += s.reader->size();
       sources.push_back(std::move(s));
     }
     Source mem;
@@ -147,7 +155,8 @@ class SortSink : public engine::MapFlowlet {
 
     LoserTree<Source> tree(std::move(sources));
     storage::RunWriter out(&ctx.local_store(),
-                           spec_.output_prefix + "/p" + std::to_string(ctx.node()));
+                           spec_.output_prefix + "/p" + std::to_string(ctx.node()),
+                           out_bytes);
     std::string_view key, value;
     uint64_t records = 0;
     while (tree.next(&key, &value)) {
@@ -219,9 +228,10 @@ RangePartitioner sample_partitioner(cluster::Cluster& cluster,
                                     const SortSpec& spec, uint32_t parts) {
   KeySampler sampler(spec.sample_capacity, spec.sample_seed);
   for (uint32_t n = 0; n < cluster.size(); ++n) {
-    Result<std::string> file = cluster.node(n).store().read_file(spec.input_path);
+    Result<storage::FileBuffer> file =
+        cluster.node(n).store().read_file(spec.input_path);
     if (!file.ok()) continue;  // node without input contributes no samples
-    const std::string& data = file.value();
+    const std::string& data = *file.value();
     size_t pos = 0;
     std::vector<std::string_view> records;
     while (pos < data.size()) {
@@ -264,6 +274,8 @@ SortStats run_distributed_sort(engine::Engine& engine, const SortSpec& spec) {
 
 std::vector<std::string> collect_sorted(cluster::Cluster& cluster,
                                         const SortSpec& spec) {
+  // No reserve: counting the records first is one more walk over every
+  // partition, which costs more than the vector's regrowth.
   std::vector<std::string> out;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     const std::string path = spec.output_prefix + "/p" + std::to_string(n);

@@ -1,61 +1,66 @@
 #include "storage/file_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace hamr::storage {
 
-void FileStore::write_file(const std::string& path, std::string_view data) {
-  if (device_ != nullptr) device_->charge(data.size());
+void FileStore::install(const std::string& path, std::string data) {
+  FileBuffer buffer = std::make_shared<const std::string>(std::move(data));
   std::lock_guard<std::mutex> lock(mu_);
-  files_[path] = std::make_shared<std::string>(data);
+  // `buffer` takes the replaced version out: it is freed after the lock is
+  // released, or later by the last reader still holding it.
+  files_[path].swap(buffer);
+}
+
+FileBuffer FileStore::find(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(path);
+  return it == files_.end() ? nullptr : it->second;
+}
+
+void FileStore::write_file(const std::string& path, std::string data) {
+  if (device_ != nullptr) device_->charge(data.size());
+  install(path, std::move(data));
 }
 
 Status FileStore::write_file_checked(const std::string& path,
-                                     std::string_view data) {
+                                     std::string&& data) {
   if (device_ != nullptr) {
     Status status = device_->charge_write(data.size());
     if (!status.ok()) return status;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  files_[path] = std::make_shared<std::string>(data);
+  install(path, std::move(data));
   return Status::Ok();
 }
 
 void FileStore::append(const std::string& path, std::string_view data) {
   if (device_ != nullptr) device_->charge(data.size());
-  std::shared_ptr<std::string> file;
+  FileBuffer replaced;  // freed after the lock, as in install()
   {
+    // Read-modify-write under the lock: concurrent appends to one path
+    // serialize, and none of them touches a buffer a reader may hold.
     std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = files_[path];
-    if (!slot) slot = std::make_shared<std::string>();
-    file = slot;
+    FileBuffer& slot = files_[path];
+    std::string grown;
+    grown.reserve((slot ? slot->size() : 0) + data.size());
+    if (slot) grown.append(*slot);
+    grown.append(data);
+    replaced = std::exchange(slot, std::make_shared<const std::string>(std::move(grown)));
   }
-  // Appends to a given file are not concurrent in any caller (each spill file
-  // has a single writer); the store lock above only protects the map.
-  file->append(data.data(), data.size());
 }
 
-Result<std::string> FileStore::read_file(const std::string& path) const {
-  std::shared_ptr<std::string> file;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) return Status::NotFound("file: " + path);
-    file = it->second;
-  }
+Result<FileBuffer> FileStore::read_file(const std::string& path) const {
+  FileBuffer file = find(path);
+  if (!file) return Status::NotFound("file: " + path);
   if (device_ != nullptr) device_->charge(file->size());
-  return *file;
+  return file;
 }
 
 Result<std::string> FileStore::read_range(const std::string& path,
                                           uint64_t offset, uint64_t len) const {
-  std::shared_ptr<std::string> file;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) return Status::NotFound("file: " + path);
-    file = it->second;
-  }
+  FileBuffer file = find(path);
+  if (!file) return Status::NotFound("file: " + path);
   if (offset >= file->size()) return std::string();
   const uint64_t n = std::min<uint64_t>(len, file->size() - offset);
   if (device_ != nullptr) device_->charge(n);
@@ -63,10 +68,9 @@ Result<std::string> FileStore::read_range(const std::string& path,
 }
 
 Result<uint64_t> FileStore::file_size(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(path);
-  if (it == files_.end()) return Status::NotFound("file: " + path);
-  return static_cast<uint64_t>(it->second->size());
+  FileBuffer file = find(path);
+  if (!file) return Status::NotFound("file: " + path);
+  return static_cast<uint64_t>(file->size());
 }
 
 bool FileStore::exists(const std::string& path) const {

@@ -6,36 +6,49 @@
 
 namespace hamr::storage {
 
-RunWriter::RunWriter(FileStore* store, std::string path)
-    : store_(store), path_(std::move(path)) {}
+RunWriter::RunWriter(FileStore* store, std::string path, uint64_t size_hint)
+    : store_(store), path_(std::move(path)) {
+  buf_.reserve(size_hint);
+}
 
 RunWriter::~RunWriter() {
   if (!closed_) close();
 }
 
+uint64_t RunWriter::record_bytes(size_t key_len, size_t value_len) {
+  return serde::varint_size(key_len) + key_len + serde::varint_size(value_len) +
+         value_len;
+}
+
 void RunWriter::add(std::string_view key, std::string_view value) {
   assert(!closed_);
-  assert(last_key_.empty() || key >= last_key_);
-  last_key_.assign(key);
-  serde::Writer w(buf_);
-  w.put_bytes(key);
-  w.put_bytes(value);
+  assert(records_ == 0 ||
+         key >= std::string_view(buf_).substr(last_key_pos_, last_key_len_));
+  serde::put_varint(buf_, key.size());
+  last_key_pos_ = buf_.size();
+  last_key_len_ = key.size();
+  buf_.append(key);
+  serde::put_varint(buf_, value.size());
+  buf_.append(value);
   ++records_;
 }
 
 uint64_t RunWriter::close() {
-  if (closed_) return buf_.size();
+  if (closed_) return bytes_;
   closed_ = true;
-  store_->write_file(path_, buf_.view());
-  return buf_.size();
+  bytes_ = buf_.size();
+  store_->write_file(path_, std::move(buf_));
+  return bytes_;
 }
 
 Result<uint64_t> RunWriter::finish() {
-  if (closed_) return static_cast<uint64_t>(buf_.size());
-  Status status = store_->write_file_checked(path_, buf_.view());
-  if (!status.ok()) return status;
+  if (closed_) return bytes_;
+  const uint64_t bytes = buf_.size();
+  Status status = store_->write_file_checked(path_, std::move(buf_));
+  if (!status.ok()) return status;  // buf_ is intact for the retry
   closed_ = true;
-  return static_cast<uint64_t>(buf_.size());
+  bytes_ = bytes;
+  return bytes_;
 }
 
 RunReader::RunReader(const FileStore* store, const std::string& path) {
@@ -45,8 +58,8 @@ RunReader::RunReader(const FileStore* store, const std::string& path) {
 }
 
 bool RunReader::next(std::string_view* key, std::string_view* value) {
-  if (pos_ >= data_.size()) return false;
-  serde::Reader r(std::string_view(data_).substr(pos_));
+  if (pos_ >= data_->size()) return false;
+  serde::Reader r(std::string_view(*data_).substr(pos_));
   *key = r.get_bytes();
   *value = r.get_bytes();
   pos_ += r.position();
@@ -71,7 +84,11 @@ uint64_t merge_runs_once(FileStore* store, const std::vector<std::string>& run_p
 
   std::vector<RunReader> readers;
   readers.reserve(run_paths.size());
-  for (const auto& path : run_paths) readers.emplace_back(store, path);
+  uint64_t out_bytes = 0;  // the merge re-encodes every record unchanged
+  for (const auto& path : run_paths) {
+    readers.emplace_back(store, path);
+    out_bytes += readers.back().size();
+  }
 
   std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
   for (size_t i = 0; i < readers.size(); ++i) {
@@ -79,7 +96,7 @@ uint64_t merge_runs_once(FileStore* store, const std::vector<std::string>& run_p
     if (readers[i].next(&k, &v)) heap.push({k, v, i});
   }
 
-  RunWriter out(store, out_path);
+  RunWriter out(store, out_path, out_bytes);
   uint64_t written = 0;
   while (!heap.empty()) {
     Head head = heap.top();

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/bytes.h"
 #include "storage/file_store.h"
 
 namespace hamr::storage {
@@ -26,13 +25,18 @@ struct KvRecord {
   bool operator==(const KvRecord&) const = default;
 };
 
-// Streams sorted records into an in-memory buffer and flushes the final file
-// once on close() so device cost is charged for the file's full size exactly
-// once (sequential write).
+// Encodes sorted records straight into the file's own buffer and moves it
+// into the store once on close(), so device cost is charged for the file's
+// full size exactly once (sequential write) and the bytes are never copied.
 class RunWriter {
  public:
-  RunWriter(FileStore* store, std::string path);
+  // `size_hint` reserves the buffer up front; pass the exact file size (the
+  // sum of record_bytes() over the records) to write without regrowth.
+  RunWriter(FileStore* store, std::string path, uint64_t size_hint = 0);
   ~RunWriter();
+
+  // Encoded size of one record in a run file.
+  static uint64_t record_bytes(size_t key_len, size_t value_len);
 
   void add(std::string_view key, std::string_view value);
 
@@ -49,27 +53,32 @@ class RunWriter {
  private:
   FileStore* store_;
   std::string path_;
-  ByteBuffer buf_;
+  std::string buf_;
+  uint64_t bytes_ = 0;  // file size, once closed (buf_ has moved out)
   uint64_t records_ = 0;
   bool closed_ = false;
-  std::string last_key_;  // ordering check
+  // Ordering check: the previous key, as a range of buf_ (no per-record copy).
+  size_t last_key_pos_ = 0;
+  size_t last_key_len_ = 0;
 };
 
-// Sequentially decodes a run file. The whole file is fetched once (charging
-// the device for one sequential read) and then iterated in memory.
+// Sequentially decodes a run file. The file's shared buffer is fetched once
+// (charging the device for one sequential read) and iterated in place.
 class RunReader {
  public:
   RunReader(const FileStore* store, const std::string& path);
 
-  // Returns false at end of file. Views are valid until the next call… they
-  // point into the reader-owned buffer, so copies are taken by callers that
-  // keep them.
+  // Returns false at end of file. The views point into the file's buffer,
+  // which the reader keeps alive: they stay valid for the reader's lifetime.
   bool next(std::string_view* key, std::string_view* value);
 
-  bool done() const { return pos_ >= data_.size(); }
+  bool done() const { return pos_ >= data_->size(); }
+
+  // The file's size in bytes.
+  uint64_t size() const { return data_->size(); }
 
  private:
-  std::string data_;
+  FileBuffer data_;
   size_t pos_ = 0;
 };
 

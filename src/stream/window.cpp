@@ -92,7 +92,7 @@ void WindowFileSink::finish(engine::Context& ctx) {
       data.push_back('\n');
     }
   }
-  ctx.local_store().write_file(node_path(dir_, ctx.node()), data);
+  ctx.local_store().write_file(node_path(dir_, ctx.node()), std::move(data));
 }
 
 std::string WindowFileSink::read_all(cluster::Cluster& cluster,
@@ -100,7 +100,7 @@ std::string WindowFileSink::read_all(cluster::Cluster& cluster,
   std::string all;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     auto data = cluster.node(n).store().read_file(node_path(dir, n));
-    if (data.ok()) all.append(data.value());
+    if (data.ok()) all.append(*data.value());
   }
   return all;
 }

@@ -3,6 +3,10 @@
 // Cost models are disabled (fast cluster) - these tests check data paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <map>
+
 #include "apps/classification.h"
 #include "apps/histograms.h"
 #include "apps/kcliques.h"
@@ -16,6 +20,20 @@ using namespace hamr;
 
 namespace {
 
+// Member lines per cluster in the node-local files "<prefix><cluster>_node<n>".
+std::map<uint32_t, uint64_t> member_lines(cluster::Cluster& cluster,
+                                          const std::string& prefix) {
+  std::map<uint32_t, uint64_t> sizes;
+  for (uint32_t n = 0; n < cluster.size(); ++n) {
+    for (const std::string& path : cluster.node(n).store().list(prefix)) {
+      uint32_t id = 0;
+      std::from_chars(path.data() + prefix.size(), path.data() + path.size(), id);
+      const std::string& text = *cluster.node(n).store().read_file(path).value();
+      sizes[id] += std::count(text.begin(), text.end(), '\n');
+    }
+  }
+  return sizes;
+}
 
 }  // namespace
 
@@ -150,6 +168,31 @@ TEST(AppsIntegration, Classification) {
   EXPECT_EQ(apps::classification::hamr_cluster_sizes(env), expected);
   apps::classification::run_baseline(env, staged, params);
   EXPECT_EQ(apps::classification::baseline_cluster_sizes(env), expected);
+}
+
+// K-Means and Classification append their per-cluster member files; a
+// second run on the same cluster must not count the first run's members.
+TEST(AppsIntegration, KMeansAndClassificationRerunOnOneEnv) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  gen::MoviesSpec spec;
+  spec.total_bytes = 96 * 1024;
+  auto shards = apps::make_shards(env.nodes(), [&](uint32_t i) {
+    return gen::movie_vectors_shard(spec, i, 4);
+  });
+  auto staged = apps::stage_input(env, "rerun", shards, 16 * 1024);
+  const auto params = apps::kmeans::make_params(shards, 5);
+  const auto expected = apps::kmeans::reference(shards, params);
+  ASSERT_FALSE(expected.cluster_sizes.empty());
+
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    apps::kmeans::run_hamr(env, staged, params);
+    EXPECT_EQ(apps::kmeans::hamr_cluster_sizes(env), expected.cluster_sizes);
+    apps::classification::run_hamr(env, staged, params);
+    EXPECT_EQ(apps::classification::hamr_cluster_sizes(env), expected.cluster_sizes);
+    EXPECT_EQ(member_lines(*env.cluster, "out/classification/cluster"),
+              expected.cluster_sizes);
+  }
 }
 
 TEST(AppsIntegration, PageRank) {

@@ -81,7 +81,7 @@ std::multiset<std::string> collected(cluster::Cluster& cluster) {
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     for (const auto& path : cluster.node(n).store().list("test/collected_node")) {
       auto data = cluster.node(n).store().read_file(path);
-      const std::string& text = data.value();
+      const std::string& text = *data.value();
       size_t pos = 0;
       while (pos < text.size()) {
         size_t eol = text.find('\n', pos);
@@ -255,7 +255,7 @@ TEST(Engine, KeyRoutingSendsEachKeyToOneNode) {
                                                       std::to_string(n));
     if (!data.ok()) continue;
     size_t pos = 0;
-    const std::string& text = data.value();
+    const std::string& text = *data.value();
     while (pos < text.size()) {
       size_t eol = text.find('\n', pos);
       if (eol == std::string::npos) eol = text.size();
@@ -421,7 +421,7 @@ TEST(Engine, EmitToNodeAndBroadcast) {
   for (uint32_t n = 0; n < 4; ++n) {
     auto data = env.cluster.node(n).store().read_file("test/collected_node" +
                                                       std::to_string(n));
-    const std::string text = data.ok() ? data.value() : "";
+    const std::string text = data.ok() ? *data.value() : "";
     EXPECT_EQ(text.find("direct") != std::string::npos, n == 2) << "node " << n;
     EXPECT_NE(text.find("bcast"), std::string::npos) << "node " << n;
   }

@@ -44,7 +44,7 @@ std::vector<std::pair<std::string, std::string>> collect(cluster::Cluster& clust
   std::vector<std::pair<std::string, std::string>> out;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     for (const auto& path : cluster.node(n).store().list("test/loader_out")) {
-      const std::string text = cluster.node(n).store().read_file(path).value();
+      const std::string text = *cluster.node(n).store().read_file(path).value();
       size_t pos = 0;
       while (pos < text.size()) {
         size_t eol = text.find('\n', pos);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "common/random.h"
+#include "fault/fault.h"
 #include "storage/device.h"
 #include "storage/file_store.h"
 #include "storage/run_file.h"
@@ -81,7 +83,7 @@ TEST(ThrottledDevice, CountsBytesInMetrics) {
 TEST(FileStore, WriteReadRoundTrip) {
   FileStore store;
   store.write_file("a/b", "hello");
-  EXPECT_EQ(store.read_file("a/b").value(), "hello");
+  EXPECT_EQ(*store.read_file("a/b").value(), "hello");
   EXPECT_TRUE(store.exists("a/b"));
   EXPECT_FALSE(store.exists("a/c"));
   EXPECT_EQ(store.file_size("a/b").value(), 5u);
@@ -91,14 +93,14 @@ TEST(FileStore, OverwriteTruncates) {
   FileStore store;
   store.write_file("f", "long content");
   store.write_file("f", "x");
-  EXPECT_EQ(store.read_file("f").value(), "x");
+  EXPECT_EQ(*store.read_file("f").value(), "x");
 }
 
 TEST(FileStore, AppendCreatesAndExtends) {
   FileStore store;
   store.append("log", "a");
   store.append("log", "bc");
-  EXPECT_EQ(store.read_file("log").value(), "abc");
+  EXPECT_EQ(*store.read_file("log").value(), "abc");
 }
 
 TEST(FileStore, ReadRangeClamps) {
@@ -135,6 +137,101 @@ TEST(FileStore, RemoveAndTotalBytes) {
   EXPECT_EQ(store.total_bytes(), 6u);
   EXPECT_TRUE(store.remove("a").ok());
   EXPECT_EQ(store.total_bytes(), 2u);
+}
+
+TEST(FileStore, ReadsShareOneBufferAndWritesMoveIn) {
+  FileStore store;
+  std::string bytes(1 << 16, 'x');
+  const char* written = bytes.data();
+  store.write_file("f", std::move(bytes));
+  const FileBuffer a = store.read_file("f").value();
+  const FileBuffer b = store.read_file("f").value();
+  EXPECT_EQ(a.get(), b.get());       // no copy per read
+  EXPECT_EQ(a->data(), written);     // no copy on the write either
+}
+
+TEST(FileStore, HandedOutBufferNeverChanges) {
+  FileStore store;
+  store.write_file("f", "original");
+  const FileBuffer before = store.read_file("f").value();
+  store.write_file("f", "replaced");
+  EXPECT_EQ(*before, "original");
+  const FileBuffer replaced = store.read_file("f").value();
+  store.append("f", "+tail");
+  EXPECT_EQ(*before, "original");
+  EXPECT_EQ(*replaced, "replaced");
+  EXPECT_EQ(*store.read_file("f").value(), "replaced+tail");
+  const FileBuffer appended = store.read_file("f").value();
+  ASSERT_TRUE(store.remove("f").ok());
+  EXPECT_EQ(*appended, "replaced+tail");
+  EXPECT_FALSE(store.exists("f"));
+}
+
+TEST(FileStore, FailedCheckedWriteKeepsCallerBytes) {
+  fault::FaultPlan plan;
+  plan.disk_write_error_rate = 1.0;
+  fault::FaultInjector injector(plan);
+  DeviceConfig config;
+  config.bandwidth_bytes_per_sec = 1e12;
+  config.seek_latency = Duration::zero();
+  ThrottledDevice dev(config);
+  dev.set_fault_injector(&injector, 0);
+  FileStore store(&dev);
+
+  std::string bytes = "payload";
+  EXPECT_FALSE(store.write_file_checked("f", std::move(bytes)).ok());
+  EXPECT_EQ(bytes, "payload");  // NOLINT(bugprone-use-after-move): kept on error
+  EXPECT_FALSE(store.exists("f"));
+
+  // A run writer's buffer survives the failed finish() for the retry.
+  RunWriter writer(&store, "run");
+  writer.add("k", "v");
+  EXPECT_FALSE(writer.finish().ok());
+  dev.set_fault_injector(nullptr, 0);
+  ASSERT_TRUE(store.write_file_checked("f", std::move(bytes)).ok());
+  EXPECT_EQ(*store.read_file("f").value(), "payload");
+  ASSERT_TRUE(writer.finish().ok());
+  RunReader reader(&store, "run");
+  std::string_view k, v;
+  ASSERT_TRUE(reader.next(&k, &v));
+  EXPECT_EQ(k, "k");
+  EXPECT_EQ(v, "v");
+  EXPECT_FALSE(reader.next(&k, &v));
+}
+
+// Readers race one writer that replaces and appends the file. Every version
+// the writer installs is one repeated character, so a reader that ever saw a
+// buffer change under it would see mixed characters or a torn size.
+TEST(FileStore, ConcurrentReadersWhileWriterReplacesAndAppends) {
+  constexpr size_t kChunk = 4096;
+  constexpr int kReaders = 3;
+  constexpr int kReadsEach = 500;
+  FileStore store;
+  store.write_file("f", std::string(kChunk, 'a'));
+  std::atomic<int> finished{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kReadsEach; ++i) {
+        const FileBuffer buf = store.read_file("f").value();
+        const std::string& data = *buf;
+        std::this_thread::yield();  // let the writer move on while we hold it
+        EXPECT_FALSE(data.empty());
+        EXPECT_EQ(data.size() % kChunk, 0u);
+        EXPECT_EQ(std::count(data.begin(), data.end(), data[0]),
+                  static_cast<std::ptrdiff_t>(data.size()));
+      }
+      finished.fetch_add(1);
+    });
+  }
+  // The writer keeps installing versions until every reader is through.
+  for (int i = 0; finished.load() < kReaders; ++i) {
+    const char c = static_cast<char>('a' + i % 26);
+    store.write_file("f", std::string(kChunk, c));
+    store.append("f", std::string(kChunk, c));
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(store.read_file("f").value()->size(), 2 * kChunk);
 }
 
 // --- run files -------------------------------------------------------------------
