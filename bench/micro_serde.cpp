@@ -1,17 +1,20 @@
-// Microbenchmarks for the serialization substrate (varint, record, and bin
-// encode/decode throughput) and the engine's hot memory layouts: map-vs-flat
-// combine folding, pair-vector-vs-arena reduce staging, and pooled bin
-// building (google-benchmark).
+// Microbenchmarks for the serialization substrate (varint, record, bin and
+// row-block encode/decode throughput) and the engine's hot memory layouts:
+// map-vs-flat combine folding, pair-vector-vs-arena reduce staging, and
+// pooled bin building (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/pool.h"
 #include "common/random.h"
 #include "engine/bin.h"
 #include "engine/flat_table.h"
 #include "engine/runtime.h"
+#include "query/row.h"
 #include "serde/batch.h"
 #include "serde/codec.h"
 #include "serde/serde.h"
@@ -388,5 +391,62 @@ static void BM_StringRunDecodeBatch(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_StringRunDecodeBatch);
+
+// --- row blocks --------------------------------------------------------------
+//
+// Schema::decode_row_block as the query scans call it: the in-place form
+// overwrites a reused row vector (cells keep their string capacity), the
+// returning form builds fresh rows per block. Same 256-row blocks as a
+// staged table shard.
+
+static query::Schema row_block_schema() {
+  query::Schema schema;
+  schema.cols = {{"item", query::ColType::kI64},
+                 {"customer", query::ColType::kI64},
+                 {"category", query::ColType::kStr},
+                 {"price", query::ColType::kF64},
+                 {"comment", query::ColType::kStr}};
+  return schema;
+}
+
+static std::string row_block_bytes(const query::Schema& schema) {
+  Rng rng(11);
+  std::vector<query::Row> rows;
+  for (int i = 0; i < 256; ++i) {
+    const auto item = static_cast<int64_t>(rng.next_below(2000));
+    const auto customer = static_cast<int64_t>(rng.next_below(25000));
+    const double price = static_cast<double>(rng.next_below(3200)) / 16;
+    std::string category(4 + rng.next_below(8), 'c');
+    std::string comment(8 + rng.next_below(40), 'x');
+    rows.push_back({query::Value::of(item), query::Value::of(customer),
+                    query::Value::of(std::move(category)),
+                    query::Value::of(price),
+                    query::Value::of(std::move(comment))});
+  }
+  return schema.encode_row_block(rows);
+}
+
+static void BM_RowBlockDecodeReturning(benchmark::State& state) {
+  const query::Schema schema = row_block_schema();
+  const std::string block = row_block_bytes(schema);
+  for (auto _ : state) {
+    std::vector<query::Row> rows = schema.decode_row_block(block);
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetBytesProcessed(state.iterations() * block.size());
+}
+BENCHMARK(BM_RowBlockDecodeReturning);
+
+static void BM_RowBlockDecodeInPlace(benchmark::State& state) {
+  const query::Schema schema = row_block_schema();
+  const std::string block = row_block_bytes(schema);
+  std::vector<query::Row> rows;
+  for (auto _ : state) {
+    schema.decode_row_block(block, &rows);
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetBytesProcessed(state.iterations() * block.size());
+}
+BENCHMARK(BM_RowBlockDecodeInPlace);
 
 BENCHMARK_MAIN();

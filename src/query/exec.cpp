@@ -1,5 +1,7 @@
 #include "query/exec.h"
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -33,40 +35,72 @@ std::string encode_table_shard(const Table& table, uint32_t shard,
   return std::string(buf.view());
 }
 
-bool RowPipeline::apply(Row* row) const {
-  for (const Step& step : steps) {
+const Row* RowPipeline::apply(const Row& row, std::vector<Row>* scratch) const {
+  if (scratch->size() < steps.size()) scratch->resize(steps.size());
+  const Row* cur = &row;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const Step& step = steps[i];
     if (step.is_filter) {
-      if (!eval_predicate(step.pred, *row)) return false;
-    } else {
-      Row projected;
-      projected.reserve(step.cols.size());
-      for (uint32_t c : step.cols) projected.push_back(std::move((*row)[c]));
-      *row = std::move(projected);
+      if (!eval_predicate(step.pred, *cur)) return nullptr;
+      continue;
     }
+    // Copy-assign into a row distinct from the source: cells keep their
+    // string capacity across calls, and a column may appear twice.
+    Row& out = (*scratch)[i];
+    out.resize(step.cols.size());
+    for (size_t j = 0; j < step.cols.size(); ++j) out[j] = (*cur)[step.cols[j]];
+    cur = &out;
   }
-  return true;
+  return cur;
 }
+
+// --- per-thread operator scratch -------------------------------------------
+
+namespace {
+
+// Reused buffers for one operator invocation. Frames live per thread, one
+// per nesting level: a fused consumer runs inside its producer's ctx.emit()
+// on the same thread, so each level leases the next frame and never touches
+// the buffers its caller is still reading. Steady state allocates nothing.
+struct Scratch {
+  ByteBuffer key;
+  ByteBuffer value;
+  Row row;
+  Row joined;
+  std::vector<Row> rows;
+  std::vector<Row> right_rows;
+  std::vector<Row> steps;  // RowPipeline::apply projection outputs
+  std::vector<std::string_view> views;
+  std::vector<std::string_view> right_views;
+};
+
+class ScratchLease {
+ public:
+  ScratchLease() {
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    frame_ = &frames_[depth_++];
+  }
+  ~ScratchLease() { --depth_; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  Scratch* operator->() const { return frame_; }
+
+ private:
+  // deque: frames never move when a deeper level is added.
+  static thread_local std::deque<Scratch> frames_;
+  static thread_local size_t depth_;
+  Scratch* frame_;
+};
+
+thread_local std::deque<Scratch> ScratchLease::frames_;
+thread_local size_t ScratchLease::depth_ = 0;
+
+}  // namespace
 
 // --- aggregate state codec -------------------------------------------------
 
 namespace {
-
-void put_minmax(const Value& v, serde::Writer* w) {
-  switch (v.type) {
-    case ColType::kI64: w->put_zigzag(v.i); break;
-    case ColType::kF64: w->put_double(v.f); break;
-    case ColType::kStr: w->put_bytes(v.s); break;
-  }
-}
-
-Value get_minmax(ColType type, serde::Reader* r) {
-  switch (type) {
-    case ColType::kI64: return Value::of(r->get_zigzag());
-    case ColType::kF64: return Value::of(r->get_double());
-    case ColType::kStr: return Value::of(std::string(r->get_bytes()));
-  }
-  throw serde::DecodeError("unknown minmax type");
-}
 
 bool value_less(const Value& a, const Value& b) {
   switch (a.type) {
@@ -79,66 +113,62 @@ bool value_less(const Value& a, const Value& b) {
 
 }  // namespace
 
-std::string GroupCompiled::state_of_row(const Row& row) const {
-  ByteBuffer buf;
-  serde::Writer writer(buf);
+void GroupCompiled::state_of_row(const Row& row, serde::Writer* writer) const {
   for (const AggSpec& agg : aggs) {
     switch (agg.kind) {
       case AggKind::kCount:
-        writer.put_varint(1);
+        writer->put_varint(1);
         break;
       case AggKind::kSum: {
         const Value& v = row[agg.col];
         if (v.type == ColType::kI64) {
-          writer.put_fixed64(static_cast<uint64_t>(v.i));
+          writer->put_fixed64(static_cast<uint64_t>(v.i));
         } else {
-          writer.put_double(v.as_f64());
+          writer->put_double(v.as_f64());
         }
         break;
       }
       case AggKind::kMin:
       case AggKind::kMax:
-        put_minmax(row[agg.col], &writer);
+        encode_value(row[agg.col], row[agg.col].type, writer);
         break;
     }
   }
-  return std::string(buf.view());
 }
 
-std::string GroupCompiled::merge_states(std::string_view a,
-                                        std::string_view b) const {
+void GroupCompiled::merge_states(std::string_view a, std::string_view b,
+                                 serde::Writer* writer) const {
   serde::Reader ra(a), rb(b);
-  ByteBuffer buf;
-  serde::Writer writer(buf);
   for (const AggSpec& agg : aggs) {
     switch (agg.kind) {
       case AggKind::kCount:
-        writer.put_varint(ra.get_varint() + rb.get_varint());
+        writer->put_varint(ra.get_varint() + rb.get_varint());
         break;
       case AggKind::kSum: {
         const ColType t = in_schema.cols[agg.col].type;
         if (t == ColType::kI64) {
-          writer.put_fixed64(ra.get_fixed64() + rb.get_fixed64());
+          writer->put_fixed64(ra.get_fixed64() + rb.get_fixed64());
         } else {
-          writer.put_double(ra.get_double() + rb.get_double());
+          writer->put_double(ra.get_double() + rb.get_double());
         }
         break;
       }
       case AggKind::kMin:
       case AggKind::kMax: {
+        // Reused cells: merge never calls out, so one pair per thread.
+        thread_local Value va, vb;
         const ColType t = in_schema.cols[agg.col].type;
-        Value va = get_minmax(t, &ra);
-        Value vb = get_minmax(t, &rb);
+        decode_value(t, &ra, &va);
+        decode_value(t, &rb, &vb);
         const bool b_less = value_less(vb, va);
         const bool take_b = agg.kind == AggKind::kMin
                                 ? b_less
                                 : (!b_less && !(va == vb));
-        put_minmax(take_b ? vb : va, &writer);
+        encode_value(take_b ? vb : va, t, writer);
         break;
       }
     }
   }
-  return std::string(buf.view());
 }
 
 Row GroupCompiled::finalize(Row key_vals, std::string_view state) const {
@@ -158,7 +188,8 @@ Row GroupCompiled::finalize(Row key_vals, std::string_view state) const {
         break;
       case AggKind::kMin:
       case AggKind::kMax:
-        out.push_back(get_minmax(in_schema.cols[agg.col].type, &reader));
+        out.emplace_back();
+        decode_value(in_schema.cols[agg.col].type, &reader, &out.back());
         break;
     }
   }
@@ -168,27 +199,57 @@ Row GroupCompiled::finalize(Row key_vals, std::string_view state) const {
 // --- emit spec -------------------------------------------------------------
 
 void EmitSpec::emit_row(const Row& row, engine::Context& ctx) const {
+  ScratchLease scratch;
+  ByteBuffer& key = scratch->key;
+  ByteBuffer& value = scratch->value;
+  key.clear();
+  value.clear();
+  serde::Writer kw(key);
+  serde::Writer vw(value);
   switch (mode) {
     case Mode::kLocalRow:
       // The edge is local: the record stays on this node regardless of key.
-      ctx.emit(0, std::string_view(), schema.encode_row(row));
-      return;
-    case Mode::kJoinSide: {
-      std::string value;
-      value.push_back(static_cast<char>(side));
-      value += schema.encode_row(row);
-      ctx.emit(0, encode_key(row, key_cols), value);
-      return;
-    }
+      schema.encode_row(row, &vw);
+      break;
+    case Mode::kJoinSide:
+      encode_key(row, key_cols, &kw);
+      vw.put_u8(side);
+      schema.encode_row(row, &vw);
+      break;
     case Mode::kGroupState:
-      ctx.emit(0, encode_key(row, group->key_cols), group->state_of_row(row));
-      return;
+      encode_key(row, group->key_cols, &kw);
+      group->state_of_row(row, &vw);
+      break;
   }
+  ctx.emit(0, key.view(), value.view());
+}
+
+void EmitSpec::emit_joined(std::string_view left, std::string_view right,
+                           engine::Context& ctx) const {
+  ScratchLease scratch;
+  ByteBuffer& value = scratch->value;
+  value.clear();
+  value.append(left);
+  value.append(right);
+  ctx.emit(0, std::string_view(), value.view());
 }
 
 // --- flowlets --------------------------------------------------------------
 
 namespace {
+
+// Decodes one staged row block into the frame's rows and emits every row
+// the pipeline keeps; returns the block's row count.
+size_t scan_block(const ScanCompiled& c, std::string_view block,
+                  const ScratchLease& scratch, engine::Context& ctx) {
+  c.table_schema.decode_row_block(block, &scratch->rows);
+  for (const Row& row : scratch->rows) {
+    if (const Row* out = c.pipeline.apply(row, &scratch->steps)) {
+      c.emit.emit_row(*out, ctx);
+    }
+  }
+  return scratch->rows.size();
+}
 
 // Reads a staged row shard from the node-local store in fine-grain chunks.
 // One instance serves every split scheduled on its node; the file cache and
@@ -207,17 +268,14 @@ class RowScanLoader : public engine::LoaderFlowlet {
     if (pos >= shard.size()) return false;
 
     // Walk framed row blocks with the shared chunked-decode loop (also used
-    // by the sort run loader), batch-decoding each block in one pass.
+    // by the sort run loader), batch-decoding each block in one pass into
+    // the frame's reused rows.
+    ScratchLease scratch;
     uint64_t produced = 0;
-    std::vector<std::string_view> blocks;
     while (produced < c_->rows_per_chunk && pos < shard.size()) {
-      blocks.clear();
-      if (serde::get_framed_run(shard, &pos, 1, &blocks) == 0) break;
-      std::vector<Row> rows = c_->table_schema.decode_row_block(blocks[0]);
-      produced += rows.size();
-      for (Row& row : rows) {
-        if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
-      }
+      scratch->views.clear();
+      if (serde::get_framed_run(shard, &pos, 1, &scratch->views) == 0) break;
+      produced += scan_block(*c_, scratch->views[0], scratch, ctx);
     }
     *cursor = pos;
     return pos < shard.size();
@@ -266,13 +324,10 @@ class CachedRowScanLoader : public engine::LoaderFlowlet {
     std::string_view key;
     std::string_view block;
     bool more = true;
+    ScratchLease scratch;
     while (produced < c_->rows_per_chunk &&
            (more = cache::next_record(shard, &sc, &key, &block))) {
-      std::vector<Row> rows = c_->table_schema.decode_row_block(block);
-      produced += rows.size();
-      for (Row& row : rows) {
-        if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
-      }
+      produced += scan_block(*c_, block, scratch, ctx);
     }
     *cursor = sc.packed;
     return more;
@@ -290,8 +345,11 @@ class FusedMap : public engine::MapFlowlet {
   explicit FusedMap(std::shared_ptr<const MapCompiled> c) : c_(std::move(c)) {}
 
   void process(const engine::KvPair& record, engine::Context& ctx) override {
-    Row row = c_->in_schema.decode_row(record.value);
-    if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
+    ScratchLease scratch;
+    c_->in_schema.decode_row(record.value, &scratch->row);
+    if (const Row* out = c_->pipeline.apply(scratch->row, &scratch->steps)) {
+      c_->emit.emit_row(*out, ctx);
+    }
   }
 
  private:
@@ -300,6 +358,10 @@ class FusedMap : public engine::MapFlowlet {
 
 // Inner equi-join: both sides shuffle on the encoded key, so one reduce call
 // sees every row of one key from both sides and emits the cross product.
+// Every side row is decoded exactly once per call (which also validates
+// it). A local-row consumer receives each joined row as the concatenation
+// of the two encoded rows (row.h's contract), never re-encoded; a key or
+// state consumer gets a joined Row built in place per pair.
 class JoinFlowlet : public engine::ReduceFlowlet {
  public:
   explicit JoinFlowlet(std::shared_ptr<const JoinCompiled> c)
@@ -309,21 +371,40 @@ class JoinFlowlet : public engine::ReduceFlowlet {
               const std::vector<std::string_view>& values,
               engine::Context& ctx) override {
     (void)key;
-    std::vector<Row> left, right;
+    ScratchLease scratch;
+    const bool by_bytes = c_->emit.mode == EmitSpec::Mode::kLocalRow;
+    std::vector<std::string_view>& left = scratch->views;
+    std::vector<std::string_view>& right = scratch->right_views;
+    left.clear();
+    right.clear();
+    size_t nl = 0, nr = 0;
     for (std::string_view v : values) {
       if (v.empty()) throw serde::DecodeError("empty join value");
-      const uint8_t side = static_cast<uint8_t>(v.front());
-      std::string_view bytes = v.substr(1);
-      if (side == 0) {
-        left.push_back(c_->left_schema.decode_row(bytes));
-      } else {
-        right.push_back(c_->right_schema.decode_row(bytes));
-      }
+      const bool is_left = static_cast<uint8_t>(v.front()) == 0;
+      const std::string_view bytes = v.substr(1);
+      (is_left ? left : right).push_back(bytes);
+      std::vector<Row>& rows = is_left ? scratch->rows : scratch->right_rows;
+      size_t& n = is_left ? nl : nr;
+      if (n == rows.size()) rows.emplace_back();
+      const Schema& schema = is_left ? c_->left_schema : c_->right_schema;
+      schema.decode_row(bytes, &rows[n]);
+      if (!by_bytes) ++n;  // byte-level emits need the row validated only
     }
-    for (const Row& l : left) {
-      for (const Row& r : right) {
-        Row joined = l;
-        joined.insert(joined.end(), r.begin(), r.end());
+    if (by_bytes) {
+      for (std::string_view l : left) {
+        for (std::string_view r : right) c_->emit.emit_joined(l, r, ctx);
+      }
+      return;
+    }
+    const size_t lw = c_->left_schema.size();
+    Row& joined = scratch->joined;
+    joined.resize(lw + c_->right_schema.size());
+    for (size_t i = 0; i < nl; ++i) {
+      std::copy(scratch->rows[i].begin(), scratch->rows[i].end(),
+                joined.begin());
+      for (size_t j = 0; j < nr; ++j) {
+        std::copy(scratch->right_rows[j].begin(), scratch->right_rows[j].end(),
+                  joined.begin() + static_cast<std::ptrdiff_t>(lw));
         c_->emit.emit_row(joined, ctx);
       }
     }
@@ -345,7 +426,18 @@ class GroupByFlowlet : public engine::PartialReduceFlowlet {
   void fold(std::string_view key, std::string_view value,
             std::string& acc) override {
     (void)key;
-    acc = acc.empty() ? std::string(value) : g_->merge_states(acc, value);
+    if (acc.empty()) {
+      acc.assign(value.data(), value.size());
+      return;
+    }
+    // Merge into per-thread scratch (merge reads acc), then copy back into
+    // acc's existing capacity. fold never calls out, so one buffer suffices.
+    thread_local ByteBuffer merged;
+    merged.clear();
+    serde::Writer writer(merged);
+    g_->merge_states(acc, value, &writer);
+    const std::string_view bytes = merged.view();
+    acc.assign(bytes.data(), bytes.size());
   }
 
   void emit_result(std::string_view key, std::string_view acc,
@@ -367,10 +459,9 @@ class SinkFlowlet : public engine::MapFlowlet {
 
   void process(const engine::KvPair& record, engine::Context& ctx) override {
     (void)ctx;
-    std::string line = to_hex(record.value);
-    line.push_back('\n');
     std::lock_guard<std::mutex> lock(mu_);
-    out_ += line;
+    append_hex(record.value, &out_);
+    out_.push_back('\n');
   }
 
   void finish(engine::Context& ctx) override {

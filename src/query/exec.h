@@ -53,8 +53,12 @@ struct RowPipeline {
   };
   std::vector<Step> steps;
 
-  // Applies the steps in order; returns false when a filter rejects.
-  bool apply(Row* row) const;
+  // Applies the steps in order to `row`; returns the resulting row, or null
+  // when a filter rejects. Projection step i copies its columns out of the
+  // previous step's row into (*scratch)[i], so repeated and reordered
+  // columns are safe, `row` is left intact, and a scratch vector reused
+  // across calls makes steady-state calls allocation-free.
+  const Row* apply(const Row& row, std::vector<Row>* scratch) const;
 };
 
 // Compiled group-by: key layout, aggregate list, and the encoded aggregate
@@ -71,13 +75,19 @@ struct GroupCompiled {
   Schema in_schema;   // rows arriving at the group-by
   Schema out_schema;  // key columns + aggregate columns
 
-  std::string state_of_row(const Row& row) const;
-  std::string merge_states(std::string_view a, std::string_view b) const;
+  void state_of_row(const Row& row, serde::Writer* writer) const;
+  void merge_states(std::string_view a, std::string_view b,
+                    serde::Writer* writer) const;
   // key_vals = decoded key columns; returns the final output row.
   Row finalize(Row key_vals, std::string_view state) const;
 };
 
 // How a producing flowlet hands rows to its (single) consumer.
+//
+// Emits encode into per-thread scratch buffers, one set per emit nesting
+// depth: a fused downstream stage runs inside ctx.emit() and encodes again,
+// so each level writes its own buffers. The key and value views handed to
+// ctx.emit() are valid only until that call returns.
 struct EmitSpec {
   enum class Mode : uint8_t {
     kLocalRow,    // emit(0, "", row bytes) over a local edge
@@ -91,6 +101,10 @@ struct EmitSpec {
   std::shared_ptr<const GroupCompiled> group; // kGroupState
 
   void emit_row(const Row& row, engine::Context& ctx) const;
+  // kLocalRow only: emits the row whose encoding is `left` ‖ `right` (two
+  // already-encoded rows whose schemas concatenate to `schema`).
+  void emit_joined(std::string_view left, std::string_view right,
+                   engine::Context& ctx) const;
 };
 
 // --- flowlet factories (each captures its compiled, immutable stage) ------

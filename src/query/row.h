@@ -8,7 +8,10 @@
 // one schema encode to the same bytes iff they are equal. The differential
 // test suite leans on injectivity: query results are canonicalized as sorted
 // encoded-row byte strings and compared byte-for-byte between the engine
-// path and the reference evaluator.
+// path and the reference evaluator. A row's encoding is its cells'
+// encodings concatenated with no row framing, so the encoding of a joined
+// row is the left row's bytes followed by the right row's (the join relies
+// on this to emit without re-encoding).
 //
 // Shuffle and group keys use the self-describing encode_key() form (a type
 // byte before each value), so key equality on raw bytes is value equality
@@ -73,8 +76,13 @@ struct Schema {
   std::string encode_row(const Row& row) const;
 
   // Decodes one row, consuming exactly its bytes from the reader; throws
-  // serde::DecodeError on truncation. The string_view overload additionally
-  // requires the buffer to end with the row.
+  // serde::DecodeError on truncation. The string_view overloads additionally
+  // require the buffer to end with the row. The Row* forms overwrite `row`'s
+  // cells in place (resizing it to the schema's arity), so a row reused
+  // across calls keeps its string capacity and decodes without allocating;
+  // the returning forms wrap them.
+  void decode_row(serde::Reader* reader, Row* row) const;
+  void decode_row(std::string_view bytes, Row* row) const;
   Row decode_row(serde::Reader* reader) const;
   Row decode_row(std::string_view bytes) const;
 
@@ -88,10 +96,20 @@ struct Schema {
   void encode_row_block(const Row* rows, size_t count,
                         serde::Writer* writer) const;
   std::string encode_row_block(const std::vector<Row>& rows) const;
+  // Overwrites *rows with the block's rows in place (same reuse contract as
+  // the Row* decode_row); the returning form wraps it.
+  void decode_row_block(std::string_view bytes, std::vector<Row>* rows) const;
   std::vector<Row> decode_row_block(std::string_view bytes) const;
 
   std::string to_string() const;  // "name:type, ..." for error messages
 };
+
+// One cell in row encoding, and its inverse. encode_value throws
+// std::invalid_argument unless value.type == expect; decode_value
+// overwrites *out in place (reusing its string capacity) and throws
+// serde::DecodeError on truncation.
+void encode_value(const Value& value, ColType expect, serde::Writer* writer);
+void decode_value(ColType type, serde::Reader* reader, Value* out);
 
 // Self-describing single-value encoding (type byte + row encoding of the
 // value) used for shuffle/group keys. Injective across types: an i64 5 and
@@ -99,6 +117,8 @@ struct Schema {
 void encode_key_value(const Value& value, serde::Writer* writer);
 
 // Concatenated encode_key_value of row[c] for each c in cols.
+void encode_key(const Row& row, const std::vector<uint32_t>& cols,
+                serde::Writer* writer);
 std::string encode_key(const Row& row, const std::vector<uint32_t>& cols);
 
 // Inverse of encode_key for known key-column types; throws
@@ -107,6 +127,7 @@ Row decode_key(std::string_view bytes, const std::vector<ColType>& types);
 
 // Hex transport for encoded rows in sink output files (rows may contain
 // arbitrary string bytes, including newlines and tabs).
+void append_hex(std::string_view bytes, std::string* out);
 std::string to_hex(std::string_view bytes);
 std::string from_hex(std::string_view hex);  // throws std::invalid_argument
 

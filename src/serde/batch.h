@@ -82,10 +82,16 @@ inline void put_string_run(Writer& w, const std::vector<std::string_view>& value
 // the whole run.
 inline void get_string_run(Reader& r, std::vector<std::string_view>* out) {
   const uint64_t count = r.get_varint();
-  std::vector<uint64_t> lens(count);
+  // Every length takes at least one byte, and no length can exceed what is
+  // left: corrupt counts and lengths fail here, before anything is sized by
+  // them (and before the length sum can overflow).
+  if (count > r.remaining()) throw DecodeError("string run count overflow");
+  thread_local std::vector<uint64_t> lens;  // reused: no per-run allocation
+  lens.resize(count);
   uint64_t total = 0;
   for (uint64_t i = 0; i < count; ++i) {
     lens[i] = r.get_varint();
+    if (lens[i] > r.remaining()) throw DecodeError("string run length");
     total += lens[i];
   }
   std::string_view payload = r.get_raw(total);

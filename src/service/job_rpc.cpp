@@ -64,6 +64,10 @@ std::string JobRpcServer::handle_submit(std::string_view arg) {
 
   // Non-blocking: builds the work and takes an immediate admission decision.
   std::shared_ptr<JobTicket> ticket = service_->submit(spec);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tickets_.emplace(ticket->id(), ticket);
+  }
 
   // The reply reports the admission outcome (kQueued or kRejected), not the
   // live status: an admitted job may already be running - or done - by the
@@ -78,10 +82,16 @@ std::string JobRpcServer::handle_submit(std::string_view arg) {
   return std::string(buf.view());
 }
 
+std::shared_ptr<JobTicket> JobRpcServer::ticket(std::string_view arg) const {
+  const uint64_t job_id = decode_job_id(arg);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tickets_.find(job_id);
+  if (it == tickets_.end()) throw std::invalid_argument("unknown job id");
+  return it->second;
+}
+
 std::string JobRpcServer::handle_poll(std::string_view arg) {
-  std::shared_ptr<JobTicket> ticket = service_->ticket(decode_job_id(arg));
-  if (!ticket) throw std::invalid_argument("unknown job id");
-  return encode_status(ticket->status());
+  return encode_status(ticket(arg)->status());
 }
 
 std::string JobRpcServer::handle_cancel(std::string_view arg) {
@@ -101,14 +111,13 @@ std::string JobRpcServer::handle_drain(std::string_view arg) {
 }
 
 std::string JobRpcServer::handle_result(std::string_view arg) {
-  std::shared_ptr<JobTicket> ticket = service_->ticket(decode_job_id(arg));
-  if (!ticket) throw std::invalid_argument("unknown job id");
-  const engine::JobResult result = ticket->result();
+  const std::shared_ptr<JobTicket> t = ticket(arg);
+  const engine::JobResult result = t->result();
   ByteBuffer buf;
   serde::Writer w(buf);
-  w.put_u8(static_cast<uint8_t>(ticket->status()));
-  w.put_bytes(ticket->payload());
-  w.put_bytes(ticket->error());
+  w.put_u8(static_cast<uint8_t>(t->status()));
+  w.put_bytes(t->payload());
+  w.put_bytes(t->error());
   w.put_double(result.wall_seconds);
   w.put_varint(result.records_emitted);
   return std::string(buf.view());

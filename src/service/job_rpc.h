@@ -18,6 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -39,6 +42,9 @@ inline constexpr uint32_t kDrain = 304;
 
 // Server side: registers the verbs on `rpc` (not owned; both must outlive
 // the fabric). Jobs are built from the service's registered JobBuilders.
+// The service forgets a job once it is terminal, so the server owns the
+// tickets it issued: poll and result answer for finished jobs for as long
+// as the server lives.
 class JobRpcServer {
  public:
   JobRpcServer(JobService* service, net::Rpc* rpc);
@@ -49,8 +55,12 @@ class JobRpcServer {
   std::string handle_cancel(std::string_view arg);
   std::string handle_drain(std::string_view arg);
   std::string handle_result(std::string_view arg);
+  // Throws std::invalid_argument for an id this server never issued.
+  std::shared_ptr<JobTicket> ticket(std::string_view arg) const;
 
   JobService* service_;
+  mutable std::mutex mu_;  // tickets_ (handlers run on delivery threads)
+  std::map<uint64_t, std::shared_ptr<JobTicket>> tickets_;
 };
 
 // Client side: thin wrapper over blocking RPC calls to the server node.

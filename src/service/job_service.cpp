@@ -141,15 +141,16 @@ std::shared_ptr<JobTicket> JobService::submit(const JobSpec& spec,
   bool queued = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    jobs_[t.id_] = job;
     if (stopping_ || queued_total_locked() >= config_.max_queued) {
       // Load shedding: never block the submitter (this may be an RPC
-      // delivery thread) - reject immediately and explicitly.
+      // delivery thread) - reject immediately and explicitly. A rejected
+      // job is never live, so it never enters jobs_.
       finalize(job, JobStatus::kRejected,
                stopping_ ? "service shutting down" : "admission queue full",
                {}, {});
       return job->ticket;
     }
+    jobs_[t.id_] = job;
     log_job_event(obs::EventKind::kJobSubmitted, t.id_, spec.priority);
     auto& q = queues_[spec.tenant];
     if (q.empty()) {
@@ -196,22 +197,17 @@ void JobService::register_builder(std::string job_type, JobBuilder builder) {
   builders_[std::move(job_type)] = std::move(builder);
 }
 
-std::shared_ptr<JobTicket> JobService::ticket(uint64_t job_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(job_id);
-  return it == jobs_.end() ? nullptr : it->second->ticket;
-}
-
 bool JobService::cancel(uint64_t job_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;
-  const std::shared_ptr<Job>& job = it->second;
+  const std::shared_ptr<Job> job = it->second;
   if (is_terminal(job->ticket->status())) return false;
   job->cancel_requested.store(true);
   if (remove_from_queue_locked(job)) {
     jobs_queued_g_->dec();
     finalize(job, JobStatus::kCancelled, "cancelled while queued", {}, {});
+    retire_locked(job);
     return true;
   }
   // Dispatched (or mid-dispatch: run_job re-checks the flag before running).
@@ -255,10 +251,13 @@ bool JobService::drain(uint64_t job_id) {
 }
 
 void JobService::lane_loop(uint32_t lane) {
+  std::shared_ptr<Job> job;
   for (;;) {
-    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      // run_job always leaves the job terminal: let it go before waiting.
+      if (job) retire_locked(job);
+      job.reset();
       lane_jobs_[lane].reset();
       work_cv_.wait(lock,
                     [&] { return stopping_ || queued_total_locked() > 0; });
@@ -405,6 +404,11 @@ void JobService::finalize(const std::shared_ptr<Job>& job, JobStatus status,
   t.cv_.notify_all();
 }
 
+void JobService::retire_locked(const std::shared_ptr<Job>& job) {
+  // A deadline entry is only a weak_ptr; the reaper drops it when due.
+  jobs_.erase(job->ticket->id());
+}
+
 void JobService::deadline_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -428,6 +432,7 @@ void JobService::deadline_loop() {
       jobs_queued_g_->dec();
       finalize(job, JobStatus::kDeadlineExceeded,
                "deadline exceeded before dispatch", {}, {});
+      retire_locked(job);
       continue;
     }
     const int32_t lane = job->lane.load();
@@ -451,6 +456,7 @@ void JobService::shutdown() {
       for (auto& job : drained) {
         job->cancel_requested.store(true);
         finalize(job, JobStatus::kCancelled, "service shutdown", {}, {});
+        retire_locked(job);
       }
       for (auto& eng : lanes_) eng->request_cancel();
     }

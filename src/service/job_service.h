@@ -103,7 +103,10 @@ struct JobWork {
 using JobBuilder = std::function<JobWork(const JobSpec&)>;
 
 // Client-side view of one submitted job. Thread-safe; shared between the
-// caller, the service, and the RPC server.
+// caller, the service, and the RPC server. The service lets go of a job -
+// its work graph and its ticket - at the terminal transition; from then on
+// the ticket lives as long as its holders (the submitter, or the RPC server
+// for jobs submitted over RPC) keep it.
 class JobTicket {
  public:
   uint64_t id() const { return id_; }
@@ -222,9 +225,6 @@ class JobService {
   // (they run to completion anyway).
   bool drain(uint64_t job_id);
 
-  // Ticket lookup (RPC poll/result path); null when unknown.
-  std::shared_ptr<JobTicket> ticket(uint64_t job_id) const;
-
   // Cancels queued and running jobs, then joins the lane and reaper
   // threads. Idempotent; the destructor calls it.
   void shutdown();
@@ -254,6 +254,9 @@ class JobService {
   void finalize(const std::shared_ptr<Job>& job, JobStatus status,
                 std::string error, engine::JobResult result,
                 std::string payload);
+  // Drops the service's reference to a terminal job. Every terminal path
+  // calls it under mu_.
+  void retire_locked(const std::shared_ptr<Job>& job);
   std::shared_ptr<Job> pop_next_locked();
   size_t queued_total_locked() const;
   bool remove_from_queue_locked(const std::shared_ptr<Job>& job);
@@ -293,6 +296,7 @@ class JobService {
   // job they target before firing Engine::request_cancel at it.
   std::vector<std::shared_ptr<Job>> lane_jobs_;
 
+  // Live (queued or running) jobs only: terminal jobs are retired.
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
   std::multimap<TimePoint, std::weak_ptr<Job>> deadlines_;
   std::map<std::string, JobBuilder> builders_;  // guarded by builders_mu_

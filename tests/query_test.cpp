@@ -6,12 +6,17 @@
 // value domains where aggregation is order-independent (see testgen.h), so
 // any divergence is a real lowering or operator bug, not float noise.
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
+#include "common/metrics.h"
+#include "query/exec.h"
 #include "query/planner.h"
 #include "query/reference.h"
 #include "query/testgen.h"
@@ -184,6 +189,250 @@ TEST_F(QueryDifferential, SingleHotGroupByKey) {
                            {AggKind::kMax, 2}});
   ASSERT_EQ(reference_eval(*plan, catalog).size(), 1u);
   expect_differential_match(*plan, catalog, "edge_hot_key");
+}
+
+// ---- Row and buffer reuse --------------------------------------------------
+//
+// Operators decode into reused rows and encode into reused per-thread
+// buffers. These plans cover the shapes where reuse could alias: projections
+// that repeat and reorder string columns (an output cell must never share
+// storage with, or be moved out of, a cell a later column still reads),
+// stacked projections, and a join whose output runs through a fused
+// filter/project into the sink, so emits nest inside emits on one thread.
+
+// k (i64), v (f64), s and u (strings of varying lengths, some past the
+// small-string buffer, so reused cells both grow and shrink).
+Table two_string_table(int64_t rows, int64_t key_mod, const std::string& tag) {
+  Table t;
+  t.schema.cols = {{"k", ColType::kI64}, {"v", ColType::kF64},
+                   {"s", ColType::kStr}, {"u", ColType::kStr}};
+  for (int64_t i = 0; i < rows; ++i) {
+    t.rows.push_back(
+        {V(i % key_mod), V(static_cast<double>(i % 40) / 16.0),
+         Value::of(tag + std::string(static_cast<size_t>(i % 5) * 9, 'x') +
+                   std::to_string(i)),
+         Value::of(std::to_string(i * i % 97))});
+  }
+  return t;
+}
+
+Catalog reuse_catalog() {
+  Catalog catalog;
+  catalog.tables["t1"] = two_string_table(300, 23, "left-");
+  catalog.tables["t2"] = two_string_table(120, 17, "r");
+  return catalog;
+}
+
+TEST_F(QueryDifferential, RepeatedAndReorderedProjectionsMatchReference) {
+  const Catalog catalog = reuse_catalog();
+  // Loader-fused: the projection runs inside the scan's task body.
+  expect_differential_match(*project(scan("t1"), {2, 0, 2}), catalog,
+                            "reuse_scan_repeat");
+  expect_differential_match(
+      *project(filter(scan("t1"), Expr::cmp(3, CmpOp::kLt, V("5"))),
+               {3, 2, 3, 1, 2}),
+      catalog, "reuse_scan_filter_repeat");
+  expect_differential_match(
+      *project(project(scan("t1"), {3, 2, 2}), {2, 0, 1, 0}), catalog,
+      "reuse_scan_stacked");
+  // Above a join: a fused map reads the joined row (t1 cols 0-3, t2 cols
+  // 4-7) that the join handed over as concatenated encoded rows.
+  expect_differential_match(
+      *project(hash_join(scan("t1"), scan("t2"), 0, 0), {6, 2, 0, 2, 6}),
+      catalog, "reuse_join_repeat");
+  expect_differential_match(
+      *project(project(hash_join(scan("t1"), scan("t2"), 0, 0), {7, 6, 2}),
+               {1, 1, 0, 2}),
+      catalog, "reuse_join_stacked");
+}
+
+TEST_F(QueryDifferential, JoinFeedingKeyAndStateConsumersMatchesReference) {
+  const Catalog catalog = reuse_catalog();
+  // Join -> group-by: the joined row is built in a reused Row per pair and
+  // encoded as group key + state.
+  expect_differential_match(
+      *group_by(hash_join(scan("t1"), scan("t2"), 0, 0), {2, 6},
+                {{AggKind::kCount, 0},
+                 {AggKind::kSum, 1},
+                 {AggKind::kMin, 7},
+                 {AggKind::kMax, 3}}),
+      catalog, "reuse_join_group");
+  // Join -> join: the inner join's output is a side row of the outer one.
+  expect_differential_match(
+      *hash_join(hash_join(scan("t1"), scan("t2"), 0, 0), scan("t2"), 4, 0),
+      catalog, "reuse_join_join");
+  // Join -> fused project -> group-by: a repeated string column projected
+  // above the join, then grouped.
+  expect_differential_match(
+      *group_by(project(hash_join(scan("t1"), scan("t2"), 0, 0),
+                        {6, 0, 2, 6}),
+                {0, 3}, {{AggKind::kCount, 0}, {AggKind::kMax, 2}}),
+      catalog, "reuse_join_project_group");
+}
+
+TEST_F(QueryDifferential, JoinThenFusedFilterProjectNestsEmitsIntoSink) {
+  // scan -> join -> fused filter/project -> sink: the join emits into the
+  // fused map, which emits into the fused sink, all on one worker thread -
+  // each level must encode into its own buffers.
+  const Catalog catalog = reuse_catalog();
+  auto joined_chain = [] {
+    return project(
+        filter(hash_join(scan("t1"), scan("t2"), 0, 0),
+               Expr::and_of({Expr::cmp(3, CmpOp::kLt, V("6")),
+                             Expr::cmp(5, CmpOp::kLe, V(1.5))})),
+        {6, 0, 2, 6, 5});
+  };
+  PlanPtr plan = joined_chain();
+  ASSERT_FALSE(reference_eval(*plan, catalog).empty());
+  expect_differential_match(*plan, catalog, "reuse_join_filter_project");
+  // The same chain with a group-by stacked on top and a filter/project
+  // above that: two fused maps, each nesting emits in its own stage.
+  PlanPtr grouped = project(
+      filter(group_by(joined_chain(), {0},
+                      {{AggKind::kCount, 0}, {AggKind::kMin, 2}}),
+             Expr::cmp(1, CmpOp::kGe, V(int64_t{1}))),
+      {2, 0, 2, 1});
+  expect_differential_match(*grouped, catalog, "reuse_group_filter_project");
+}
+
+// Records the port-0 emissions of an operator driven outside the engine.
+class RecordingContext : public engine::Context {
+ public:
+  void emit(uint32_t, std::string_view key, std::string_view value) override {
+    emitted.emplace_back(std::string(key), std::string(value));
+  }
+  void emit_to_node(uint32_t, engine::NodeId, std::string_view,
+                    std::string_view) override {
+    ADD_FAILURE() << "unexpected emit_to_node";
+  }
+  void emit_broadcast(uint32_t, std::string_view, std::string_view) override {
+    ADD_FAILURE() << "unexpected emit_broadcast";
+  }
+  engine::NodeId node() const override { return 0; }
+  uint32_t num_nodes() const override { return 1; }
+  uint32_t num_out_ports() const override { return 1; }
+  kv::KvStore& kv() override { throw std::logic_error("no kv"); }
+  storage::FileStore& local_store() override {
+    throw std::logic_error("no store");
+  }
+  Metrics& metrics() override { return metrics_; }
+  bool stream_stopping() const override { return false; }
+
+  std::vector<std::pair<std::string, std::string>> emitted;
+
+ private:
+  Metrics metrics_;
+};
+
+// Runs one nested emit_row from inside the first emit(), as a fused
+// consumer does, and only then records the outer emit's views.
+class ReentrantContext : public RecordingContext {
+ public:
+  ReentrantContext(const EmitSpec& inner, Row inner_row)
+      : inner_(inner), inner_row_(std::move(inner_row)) {}
+
+  void emit(uint32_t port, std::string_view key,
+            std::string_view value) override {
+    if (!nested_) {
+      nested_ = true;
+      inner_.emit_row(inner_row_, *this);
+    }
+    RecordingContext::emit(port, key, value);
+  }
+
+ private:
+  const EmitSpec& inner_;
+  const Row inner_row_;
+  bool nested_ = false;
+};
+
+TEST(QueryOperators, NestedEmitsEncodeIntoTheirOwnBuffers) {
+  // The outer emit's key and value views must survive a nested encode
+  // until the outer ctx.emit() returns: each nesting level has its own
+  // scratch buffers.
+  const Table t = two_string_table(2, 5, "a-string-longer-than-sso-");
+  EmitSpec outer;
+  outer.mode = EmitSpec::Mode::kJoinSide;
+  outer.schema = t.schema;
+  outer.key_cols = {2, 0};
+  outer.side = 1;
+  EmitSpec inner;
+  inner.schema = t.schema;  // kLocalRow
+
+  ReentrantContext ctx(inner, t.rows[1]);
+  outer.emit_row(t.rows[0], ctx);
+  ASSERT_EQ(ctx.emitted.size(), 2u);
+  EXPECT_EQ(ctx.emitted[0].first, "");
+  EXPECT_EQ(ctx.emitted[0].second, t.schema.encode_row(t.rows[1]));
+  EXPECT_EQ(ctx.emitted[1].first, encode_key(t.rows[0], {2, 0}));
+  EXPECT_EQ(ctx.emitted[1].second, '\1' + t.schema.encode_row(t.rows[0]));
+}
+
+// Drives a join flowlet's reduce() over one key group directly.
+void run_join_group(const JoinCompiled& compiled,
+                    const std::vector<std::string>& values,
+                    RecordingContext* ctx) {
+  auto flowlet = make_join(std::make_shared<const JoinCompiled>(compiled))();
+  auto* join = dynamic_cast<engine::ReduceFlowlet*>(flowlet.get());
+  ASSERT_NE(join, nullptr);
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  join->reduce("key", views, *ctx);
+}
+
+TEST(QueryOperators, JoinEmitsConcatenatedRowsAndRejectsTruncatedSideRows) {
+  const Table left = two_string_table(3, 1, "l");
+  const Table right = two_string_table(2, 1, "right-side-");
+  JoinCompiled local;
+  local.left_schema = left.schema;
+  local.right_schema = right.schema;
+  local.emit.schema.cols = left.schema.cols;
+  local.emit.schema.cols.insert(local.emit.schema.cols.end(),
+                                right.schema.cols.begin(),
+                                right.schema.cols.end());
+  JoinCompiled grouped = local;
+  auto g = std::make_shared<GroupCompiled>();
+  g->key_cols = {2};
+  g->aggs = {{AggKind::kCount, 0}};
+  g->in_schema = local.emit.schema;
+  grouped.emit.mode = EmitSpec::Mode::kGroupState;
+  grouped.emit.group = g;
+
+  std::vector<std::string> values;
+  for (const Row& r : left.rows) {
+    values.push_back('\0' + left.schema.encode_row(r));
+  }
+  for (const Row& r : right.rows) {
+    values.push_back('\1' + right.schema.encode_row(r));
+  }
+
+  // A local-row consumer receives left ‖ right, byte-identical to encoding
+  // the joined row, for every pair in left-major order.
+  RecordingContext ctx;
+  run_join_group(local, values, &ctx);
+  ASSERT_EQ(ctx.emitted.size(), left.rows.size() * right.rows.size());
+  size_t i = 0;
+  for (const Row& l : left.rows) {
+    for (const Row& r : right.rows) {
+      Row joined = l;
+      joined.insert(joined.end(), r.begin(), r.end());
+      EXPECT_EQ(ctx.emitted[i].second, local.emit.schema.encode_row(joined));
+      EXPECT_EQ(local.emit.schema.decode_row(ctx.emitted[i].second), joined);
+      ++i;
+    }
+  }
+
+  // Every side row is decoded, so a truncated one fails the reduce with a
+  // DecodeError on both output paths - including when it is the last value
+  // and the other side has already been seen.
+  for (const JoinCompiled* compiled : {&local, &grouped}) {
+    for (size_t bad : {size_t{0}, values.size() - 1}) {
+      std::vector<std::string> truncated = values;
+      truncated[bad].resize(truncated[bad].size() - 2);
+      RecordingContext fail_ctx;
+      EXPECT_THROW(run_join_group(*compiled, truncated, &fail_ctx),
+                   serde::DecodeError);
+    }
+  }
 }
 
 // ---- Service path ----------------------------------------------------------

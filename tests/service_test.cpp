@@ -412,6 +412,80 @@ TEST(JobService, DeadlineReapsQueuedJobBeforeDispatch) {
   EXPECT_EQ(running->wait(), JobStatus::kDone);
 }
 
+// --- retention --------------------------------------------------------------
+
+// The service holds a job only while it is live: every terminal path lets go
+// of the job and its ticket, so a caller that drops its ticket frees it.
+TEST(JobService, TerminalJobsReleaseTheirTickets) {
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
+  JobService svc(cluster, single_lane(/*max_queued=*/1));
+
+  // Done and failed: the lane retires a job before it takes the next one,
+  // so once a later job has run nothing in the service holds the earlier.
+  std::weak_ptr<JobTicket> done_ref, failed_ref;
+  {
+    TestJob tj;
+    tj.gate->open();
+    auto done = svc.submit(JobSpec{}, tj.work());
+    ASSERT_EQ(done->wait(), JobStatus::kDone);
+    done_ref = done;
+    JobWork bad;
+    bad.graph.add_loader("broken", nullptr);
+    auto failed = svc.submit(JobSpec{}, std::move(bad));
+    ASSERT_EQ(failed->wait(), JobStatus::kFailed);
+    failed_ref = failed;
+  }
+  TestJob next;
+  next.gate->open();
+  ASSERT_EQ(svc.submit(JobSpec{}, next.work())->wait(), JobStatus::kDone);
+  EXPECT_TRUE(done_ref.expired());
+  EXPECT_TRUE(failed_ref.expired());
+
+  // Cancelled while queued and rejected: retired before the call returns.
+  TestJob blocker;
+  auto running = svc.submit(JobSpec{}, blocker.work());
+  ASSERT_TRUE(wait_status(running, JobStatus::kRunning));
+  std::weak_ptr<JobTicket> cancelled_ref, rejected_ref;
+  {
+    TestJob queued;
+    auto cancelled = svc.submit(JobSpec{}, queued.work());
+    ASSERT_TRUE(svc.cancel(cancelled->id()));
+    cancelled_ref = cancelled;
+  }
+  EXPECT_TRUE(cancelled_ref.expired());
+  {
+    TestJob queued, shed;
+    auto waiting = svc.submit(JobSpec{}, queued.work());  // fills the queue
+    auto rejected = svc.submit(JobSpec{}, shed.work());
+    ASSERT_EQ(rejected->status(), JobStatus::kRejected);
+    rejected_ref = rejected;
+    ASSERT_TRUE(svc.cancel(waiting->id()));
+  }
+  EXPECT_TRUE(rejected_ref.expired());
+
+  // Deadline while queued: the reaper retires the job under the service
+  // lock it finalizes under, so any later call that takes the lock (here
+  // cancel, which no longer knows the id) orders after the release.
+  std::weak_ptr<JobTicket> deadline_ref;
+  {
+    TestJob queued;
+    JobSpec spec;
+    spec.deadline = millis(20);
+    auto expired = svc.submit(spec, queued.work());
+    ASSERT_EQ(expired->wait(std::chrono::seconds(30)),
+              JobStatus::kDeadlineExceeded);
+    EXPECT_FALSE(svc.cancel(expired->id()));
+    deadline_ref = expired;
+  }
+  EXPECT_TRUE(deadline_ref.expired());
+
+  // Shutdown: the running job is retired by its lane before the lane exits.
+  std::weak_ptr<JobTicket> running_ref = running;
+  running.reset();
+  svc.shutdown();
+  EXPECT_TRUE(running_ref.expired());
+}
+
 // --- concurrent execution ---------------------------------------------------
 
 TEST(JobService, TwoLanesMakeConcurrentProgress) {
@@ -663,6 +737,34 @@ TEST(JobRpc, ServesOverTcpSockets) {
   EXPECT_EQ(result.status, JobStatus::kDone);
   EXPECT_EQ(result.payload, std::string(1 << 20, 'x') + "32");
   fabric.stop();
+}
+
+// The service forgets a job once it is terminal; the RPC server keeps the
+// tickets it issued, so poll and result still answer afterwards.
+TEST(JobRpc, PollAndResultAnswerAfterTheServiceRetiredTheJob) {
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
+  JobService svc(cluster, single_lane());
+  svc.register_builder("count", count_builder());
+  JobRpcServer server(&svc, &cluster.node(0).rpc());
+  JobClient client(cluster.node(1).rpc(), /*server=*/0);
+
+  JobSpec spec;
+  spec.job_type = "count";
+  spec.args = "16";
+  const uint64_t first = client.submit(spec);
+  ASSERT_EQ(client.wait(first), JobStatus::kDone);
+  // One lane: the second job runs only after the lane retired the first.
+  spec.args = "8";
+  const uint64_t second = client.submit(spec);
+  ASSERT_EQ(client.wait(second), JobStatus::kDone);
+
+  EXPECT_EQ(client.poll(first), JobStatus::kDone);
+  const JobClient::RemoteResult result = client.result(first);
+  EXPECT_EQ(result.status, JobStatus::kDone);
+  EXPECT_EQ(result.payload, "16");
+  EXPECT_GT(result.records_emitted, 0u);
+  EXPECT_EQ(client.result(second).payload, "8");
+  EXPECT_FALSE(client.cancel(first));  // terminal: nothing to cancel
 }
 
 // --- shutdown ---------------------------------------------------------------

@@ -334,6 +334,50 @@ TEST(BatchCodec, RowBlockRoundTripAllColumnTypes) {
                serde::DecodeError);
 }
 
+TEST(BatchCodec, InPlaceRowBlockDecodeReusesRowsAcrossBlocks) {
+  query::Schema schema;
+  schema.cols = {{"name", query::ColType::kStr},
+                 {"id", query::ColType::kI64},
+                 {"tag", query::ColType::kStr},
+                 {"score", query::ColType::kF64}};
+  // Consecutive blocks grow, shrink and regrow both the row count and the
+  // string lengths (across the small-string boundary), so the reused rows
+  // and cells are resized in both directions.
+  const std::vector<std::pair<int, size_t>> shapes = {
+      {10, 40}, {3, 2}, {17, 0}, {1, 64}, {0, 0}, {12, 5}};
+  std::vector<query::Row> reused;
+  for (size_t b = 0; b < shapes.size(); ++b) {
+    const auto [count, len] = shapes[b];
+    std::vector<query::Row> rows;
+    const char fill = static_cast<char>('a' + b);
+    for (int i = 0; i < count; ++i) {
+      rows.push_back({query::Value::of(std::string(len + i % 3, fill)),
+                      query::Value::of(int64_t(i * 7 - 20)),
+                      query::Value::of(std::to_string(b * 100 + i)),
+                      query::Value::of(i * 0.5 - static_cast<double>(b))});
+    }
+    const std::string block = schema.encode_row_block(rows);
+    schema.decode_row_block(block, &reused);
+    ASSERT_EQ(reused.size(), rows.size()) << "block " << b;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(reused[i], rows[i]) << "block " << b << " row " << i;
+    }
+    EXPECT_EQ(schema.decode_row_block(block), rows) << "block " << b;
+  }
+
+  // A truncated block throws, and the rows decode cleanly again afterwards.
+  std::vector<query::Row> last = {{query::Value::of(std::string("z")),
+                                   query::Value::of(int64_t(1)),
+                                   query::Value::of(std::string("t")),
+                                   query::Value::of(2.5)}};
+  const std::string block = schema.encode_row_block(last);
+  EXPECT_THROW(schema.decode_row_block(block.substr(0, block.size() - 3),
+                                       &reused),
+               serde::DecodeError);
+  schema.decode_row_block(block, &reused);
+  EXPECT_EQ(reused, last);
+}
+
 // --- end-to-end distributed sort -------------------------------------------
 
 namespace {

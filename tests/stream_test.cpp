@@ -6,6 +6,7 @@
 // drain verb and source backpressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -279,28 +280,108 @@ TEST(EventTimeWindows, SlidingWindowsCountEventsInEveryCover) {
   EXPECT_EQ(mass, gen.total_events * kNodes * 4);
 }
 
+namespace {
+
+// Generator that parks at `hold_at` - right after the watermark
+// punctuation there - until the EventLog shows an emitted window. While it
+// parks the sources are open, so the job cannot be finishing: that emit can
+// only be a mid-stream (barrier) close. A 20 s cap turns a close that never
+// comes into a failed assertion instead of a hang.
+class HoldUntilEmitSource : public StreamSource {
+ public:
+  HoldUntilEmitSource(GeneratorConfig gen, uint64_t hold_at,
+                      const obs::EventLog* log)
+      : inner_(std::move(gen)), hold_at_(hold_at), log_(log) {}
+
+  bool poll(const engine::InputSplit& split, uint64_t* cursor,
+            size_t max_events, engine::Context& ctx,
+            std::vector<StreamEvent>* out) override {
+    if (*cursor == hold_at_ && !released()) {
+      std::this_thread::sleep_for(millis(1));
+      return true;  // poll again, nothing appended
+    }
+    if (*cursor < hold_at_) {
+      max_events = std::min<size_t>(max_events, hold_at_ - *cursor);
+    }
+    return inner_.poll(split, cursor, max_events, ctx, out);
+  }
+
+  int64_t watermark(const engine::InputSplit& split, uint64_t cursor) override {
+    return inner_.watermark(split, cursor);
+  }
+
+ private:
+  bool released() {
+    if (hold_until_ == TimePoint{}) {
+      hold_until_ = now() + std::chrono::seconds(20);
+    }
+    return log_->count(obs::EventKind::kWindowEmit) > 0 || now() > hold_until_;
+  }
+
+  GeneratorSource inner_;
+  const uint64_t hold_at_;
+  const obs::EventLog* log_;
+  TimePoint hold_until_{};
+};
+
+}  // namespace
+
 TEST(EventTimeWindows, MetricsSurfaceInJobResult) {
-  StreamEnv env(2);
+  obs::EventLog log;
+  engine::EngineConfig config = engine::EngineConfig::fast();
+  config.event_log = &log;
+  const uint32_t kNodes = 2;
+  StreamEnv env(kNodes, config);
   GeneratorConfig gen;
   gen.total_events = 2000;
   gen.period_us = 100;
   const WindowSpec window{.size_us = 10'000, .slide_us = 0};
 
-  service::JobWork work = StreamService::make_work(
-      count_pipeline(gen, window, "m/out", /*punctuate_every=*/128), 2,
-      nullptr);
+  StreamPipeline pipeline =
+      count_pipeline(gen, window, "m/out", /*punctuate_every=*/128);
+  // 1024 is a chunk and punctuation boundary (128 events each): every
+  // source has sent watermark 102.4 ms, which closes ten windows mid-stream.
+  pipeline.source = [gen, &log] {
+    return std::make_unique<HoldUntilEmitSource>(gen, 1024, &log);
+  };
+  service::JobWork work = StreamService::make_work(pipeline, kNodes, nullptr);
   const engine::JobResult result = env.engine.run(work.graph, work.inputs);
 
-  EXPECT_EQ(result.metrics.counter("stream.events_ingested"), 2000u * 2);
-  EXPECT_GT(result.metrics.counter("stream.windows_emitted"), 0u);
+  EXPECT_EQ(result.metrics.counter("stream.events_ingested"), 2000u * kNodes);
+  // Both close paths (barrier and finish) count each emitted window once
+  // and log it once.
+  EXPECT_EQ(result.metrics.counter("stream.windows_emitted"),
+            log.count(obs::EventKind::kWindowEmit));
+  EXPECT_GT(log.count(obs::EventKind::kWindowEmit), 0u);
+
+  // Watermark lag is observed at every watermark advance to a finite value
+  // made after a window opened on that node - a schedule-independent count
+  // derived from the log.
+  const int64_t win_flowlet = 1;  // stream.window, second flowlet of make_work
+  uint64_t lag_points = 0;
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    bool opened = false;
+    for (const obs::Event& ev : log.stream(n, win_flowlet)) {
+      if (ev.kind == obs::EventKind::kWindowOpen) opened = true;
+      if (ev.kind == obs::EventKind::kWatermarkAdvance && opened &&
+          ev.aux != INT64_MAX) {
+        ++lag_points;
+      }
+    }
+  }
   const obs::HistogramSnapshot* lag =
       result.metrics.histogram("stream.watermark_lag_us");
   ASSERT_NE(lag, nullptr);
-  EXPECT_GT(lag->count, 0u);
+  EXPECT_GT(lag_points, 0u);
+  EXPECT_EQ(lag->count, lag_points);
+
+  // The held sources forced at least one barrier close; each barrier close
+  // that emits observes the latency once and logs at least one emit.
   const obs::HistogramSnapshot* emit =
       result.metrics.histogram("stream.window_emit_latency_us");
   ASSERT_NE(emit, nullptr);
-  EXPECT_GT(emit->count, 0u);  // at least one mid-stream (barrier) close
+  EXPECT_GT(emit->count, 0u);
+  EXPECT_LE(emit->count, log.count(obs::EventKind::kWindowEmit));
 }
 
 // --- EventLog ordering invariants -------------------------------------------
