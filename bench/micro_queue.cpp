@@ -1,12 +1,9 @@
 // Microbenchmarks for the scheduling substrate: bounded-queue throughput,
-// thread-pool dispatch overhead, and the head-to-head that motivated the
-// sharded scheduler - a single-lock global bin queue vs per-worker deques
-// with stealing, at 1..16 workers.
+// thread-pool dispatch overhead, the engine's bin-queue scheduler at 1..16
+// workers, and fused vs unfused pipeline dispatch.
 #include <benchmark/benchmark.h>
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -61,76 +58,17 @@ static void BM_ThreadPoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4);
 
-// --- single-lock vs sharded scheduler ----------------------------------------
+// --- engine scheduler throughput --------------------------------------------
 //
-// Replica of the engine's former scheduler (runtime.cpp before the sharded
-// rewrite): ONE mutex + cv guarding one global deque, byte-budget accounting
-// under the same mutex, queue depth/bytes gauges set INSIDE the critical
-// section on every push and pop, and the space notify issued while the hot
-// lock is held - exactly the per-item costs the rewrite removed. The
-// ShardedScheduler run pushes the same item stream (round-robin senders)
-// through per-worker shards with its gauges hooked up the way the engine
-// hooks them (published outside the locks, batched per dequeue run). Same
-// payloads, same worker count, same drain condition.
+// The engine's bin queue at 1..16 workers: one producer pushes a stream of
+// small items (round-robin senders) while the workers drain it with the same
+// batched pop, batch size and metric hooks as the engine's worker_loop.
 
 namespace {
 
 constexpr uint64_t kSchedItems = 20000;
 constexpr size_t kSchedPayload = 64;
 constexpr uint64_t kSchedBudget = 1ull << 30;
-
-class SingleLockQueue {
- public:
-  explicit SingleLockQueue(Metrics* metrics)
-      : depth_g_(metrics->gauge("engine.bin_queue_depth")),
-        bytes_g_(metrics->gauge("engine.bin_queue_bytes")) {}
-
-  void push(engine::QueueItem&& item) {
-    const uint64_t bytes = item.payload.size();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      space_cv_.wait(lock, [&] { return stopping_ || bytes_ < kSchedBudget; });
-      if (stopping_) return;
-      bytes_ += bytes;
-      queue_.push_back(std::move(item));
-      depth_g_->set(static_cast<int64_t>(queue_.size()));
-      bytes_g_->set(static_cast<int64_t>(bytes_));
-    }
-    cv_.notify_one();
-  }
-
-  bool pop(engine::QueueItem* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    bytes_ -= out->payload.size();
-    depth_g_->set(static_cast<int64_t>(queue_.size()));
-    bytes_g_->set(static_cast<int64_t>(bytes_));
-    space_cv_.notify_one();  // issued under the lock, as the old code did
-    return true;
-  }
-
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable space_cv_;
-  std::deque<engine::QueueItem> queue_;
-  uint64_t bytes_ = 0;
-  Gauge* depth_g_;
-  Gauge* bytes_g_;
-  bool stopping_ = false;
-};
 
 // Touch the payload so the consume side is not optimized away; cheap enough
 // that queue overhead dominates.
@@ -142,60 +80,24 @@ uint64_t consume(const engine::QueueItem& item) {
 
 }  // namespace
 
-static void BM_SingleLockSchedulerThroughput(benchmark::State& state) {
+static void BM_SchedulerThroughput(benchmark::State& state) {
   const uint32_t workers = static_cast<uint32_t>(state.range(0));
   Metrics metrics;
-  for (auto _ : state) {
-    SingleLockQueue q(&metrics);
-    std::atomic<uint64_t> done{0};
-    std::vector<std::thread> pool;
-    for (uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        engine::QueueItem item;
-        while (q.pop(&item)) {
-          benchmark::DoNotOptimize(consume(item));
-          done.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (uint64_t i = 0; i < kSchedItems; ++i) {
-      engine::QueueItem item;
-      item.src = static_cast<uint32_t>(i % workers);
-      item.payload.assign(kSchedPayload, 'x');
-      q.push(std::move(item));
-    }
-    while (done.load(std::memory_order_relaxed) < kSchedItems) {
-      std::this_thread::yield();
-    }
-    q.stop();
-    for (auto& t : pool) t.join();
-  }
-  state.SetItemsProcessed(state.iterations() * kSchedItems);
-}
-BENCHMARK(BM_SingleLockSchedulerThroughput)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-static void BM_ShardedSchedulerThroughput(benchmark::State& state) {
-  const uint32_t workers = static_cast<uint32_t>(state.range(0));
-  Metrics metrics;
-  engine::ShardedScheduler::Hooks hooks;
-  hooks.steals = metrics.counter("engine.sched_steal");
+  engine::Scheduler::Hooks hooks;
   hooks.lock_wait_ns = metrics.counter("engine.sched_lock_wait_ns");
   hooks.budget_wait_ns = metrics.counter("engine.bin_queue_wait_ns");
   hooks.depth = metrics.gauge("engine.bin_queue_depth");
   hooks.bytes = metrics.gauge("engine.bin_queue_bytes");
   for (auto _ : state) {
-    engine::ShardedScheduler sched(workers, kSchedBudget);
+    engine::Scheduler sched(workers, kSchedBudget);
     sched.set_hooks(hooks);
     std::atomic<uint64_t> done{0};
     std::vector<std::thread> pool;
     for (uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        // Batched pop, exactly as the engine's worker_loop drains it.
-        std::vector<engine::ShardedScheduler::Work> batch;
+      pool.emplace_back([&] {
+        std::vector<engine::Scheduler::Work> batch;
         batch.reserve(32);
-        while (sched.next_batch(w, &batch, 32) > 0) {
+        while (sched.next_batch(&batch, 32) > 0) {
           for (auto& work : batch) {
             if (work.is_item) {
               benchmark::DoNotOptimize(consume(work.item));
@@ -220,7 +122,7 @@ static void BM_ShardedSchedulerThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kSchedItems);
 }
-BENCHMARK(BM_ShardedSchedulerThroughput)
+BENCHMARK(BM_SchedulerThroughput)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -278,8 +278,7 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   windows_emitted_c_ = metrics().counter("stream.windows_emitted");
   window_emit_us_h_ = metrics().histogram("stream.window_emit_latency_us");
   wm_lag_us_h_ = metrics().histogram("stream.watermark_lag_us");
-  ShardedScheduler::Hooks hooks;
-  hooks.steals = metrics().counter("engine.sched_steal");
+  Scheduler::Hooks hooks;
   hooks.lock_wait_ns = metrics().counter("engine.sched_lock_wait_ns");
   hooks.budget_wait_ns = metrics().counter("engine.bin_queue_wait_ns");
   hooks.depth = metrics().gauge("engine.bin_queue_depth");
@@ -291,7 +290,7 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   const uint32_t workers = sched_.workers();
   workers_.reserve(workers);
   for (uint32_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   sender_ = std::thread([this] { sender_loop(); });
 }
@@ -559,16 +558,16 @@ void NodeRuntime::drain_due_deferred() {
   }
 }
 
-void NodeRuntime::worker_loop(uint32_t self) {
-  // Batched pop: one shard-lock acquisition covers a run of items, and the
-  // batch is in-order from one shard, so per-sender FIFO survives. 32 bins
-  // of backlog per wakeup amortizes the scheduler's per-item costs without
-  // holding work hostage from thieves for long.
+void NodeRuntime::worker_loop() {
+  // Batched pop: one lock acquisition covers a run of items taken in queue
+  // order, so per-sender FIFO survives. 32 units per wakeup amortize the
+  // scheduler's per-item costs; the scheduler caps each batch at the
+  // worker's fair share of the backlog, so idle workers get the rest.
   constexpr size_t kBatch = 32;
-  std::vector<ShardedScheduler::Work> batch;
+  std::vector<Scheduler::Work> batch;
   batch.reserve(kBatch);
-  while (sched_.next_batch(self, &batch, kBatch) > 0) {
-    for (ShardedScheduler::Work& work : batch) {
+  while (sched_.next_batch(&batch, kBatch) > 0) {
+    for (Scheduler::Work& work : batch) {
       if (work.is_item) {
         if (work.item.is_control) {
           process_control(work.item);
@@ -1249,7 +1248,7 @@ void NodeRuntime::maybe_close_event_windows(FlowletId flowlet) {
       std::lock_guard<std::mutex> lock(fs.wm_mu);
       if (fs.armed_watermark == INT64_MIN) return;
       // Prefix, not count: every bin enqueued before the arm must be done.
-      // Out-of-order completions (work stealing, crash-retry backoff) of
+      // Out-of-order completions (parallel workers, crash-retry backoff) of
       // later bins must not stand in for a parked covered bin.
       if (fs.done_prefix.load(std::memory_order_acquire) < fs.armed_target) {
         return;

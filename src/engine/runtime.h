@@ -166,8 +166,8 @@ struct FlowletState {
   std::atomic<uint64_t> bins_enqueued{0};
   // Prefix-processed tracking: done_prefix = smallest enqueue index not yet
   // fully processed (every index below it is done). A simple
-  // enqueued - pending >= target count is NOT a barrier: the work-stealing
-  // scheduler and crash-retry backoffs complete bins out of order, so later
+  // enqueued - pending >= target count is NOT a barrier: parallel workers
+  // and crash-retry backoffs complete bins out of order, so later
   // bins (enqueued after an arm) can stand in for a parked earlier one and
   // the count reaches the target while covered data is still unfolded.
   // done_prefix cannot be fooled that way. Guarded by done_mu; read
@@ -270,7 +270,7 @@ class NodeRuntime {
   void on_ack_message(net::Message&& msg);
 
   // --- worker-side processing ---
-  void worker_loop(uint32_t self);
+  void worker_loop();
   void submit_task(std::function<void()> task);
   // Parks a flow-controlled task on the deferred queue. `flowlet` and `tag`
   // identify the parked task (loaders pass their split cursor) so the event
@@ -381,11 +381,9 @@ class NodeRuntime {
   Histogram* window_emit_us_h_ = nullptr;
   Histogram* wm_lag_us_h_ = nullptr;
 
-  // Scheduler: per-worker sharded deques with work stealing (see
-  // scheduler.h). The delivery thread routes each sender to a fixed shard
-  // (per-sender FIFO dequeue order), idle workers steal before sleeping, and
-  // the receiver byte budget is a shared atomic inside the scheduler.
-  ShardedScheduler sched_;
+  // The node's one bin queue (see scheduler.h): FIFO per sender, with the
+  // receiver byte budget counted under the same lock as the queue.
+  Scheduler sched_;
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;
 

@@ -1,30 +1,26 @@
-// ShardedScheduler: per-worker deques with work stealing, replacing the
-// engine's former single sched_mu_/sched_cv_ global queue.
+// Scheduler: the node's one bin queue (paper §2, Fig. 2) - a bin deque and a
+// task deque behind ONE mutex, served by every worker thread.
 //
-// Layout: one shard per worker thread, each holding a bin deque and a task
-// deque behind its own mutex. The delivery thread routes every received item
-// of sender s to shard (s mod workers), so one sender's items land in one
-// deque in arrival order and every consumer - owner or thief - pops from the
-// FRONT under the shard lock: dequeue order stays FIFO per sender, which
-// keeps the bin/control arrival accounting honest even though processing
-// overlaps. Tasks are spread round-robin.
+// Guarantees, all of which hold by construction because every push, pop and
+// byte count happens under that one lock:
+//  - FIFO per sender: both deques are pushed at the back and popped at the
+//    front, bins before tasks (draining received data keeps upstream nodes
+//    unblocked), so a worker's batch is a contiguous run in arrival order.
+//  - Receiver byte budget: push_bin blocks the delivery thread while the
+//    queued bytes are at or over budget (unless `force`), and a pop that
+//    crosses back under budget wakes it. The bytes are counted in the same
+//    critical section that publishes the item, so no pop can run ahead of
+//    its count.
+//  - Fair batches: next_batch takes up to `max` units, but never more than
+//    max(1, queued / workers), so a backlog spreads over idle workers.
+//  - Wakeups only where needed: a push wakes one sleeping worker only when
+//    the queue was empty; a pop that leaves work behind while a worker
+//    sleeps wakes one more. Pushes into a backlog make no syscalls.
 //
-// A worker pops its own shard first (bins before tasks: draining received
-// data keeps upstream nodes unblocked), then tries to steal from the other
-// shards (try_lock only - a contended victim is skipped, not waited on), and
-// only then sleeps. Sleep/wake uses one idle condition variable guarded by a
-// mutex that covers no queue data: pushes bump an atomic pending count and
-// notify, so the enqueue fast path never serializes against workers.
-//
-// The receiver-side byte budget is a shared atomic: the delivery thread
-// blocks in push_bin while the queued bytes exceed the budget (receiver
-// backpressure, exactly as before), and workers wake it when a pop crosses
-// back under. Queue-depth/bytes gauges are written OUTSIDE every lock from
-// the atomics. Steal counts and contended-lock wait time are surfaced as
-// engine.sched_steal / engine.sched_lock_wait_ns.
+// Contended acquisitions of the lock are timed into engine.sched_lock_wait_ns
+// and budget waits into engine.bin_queue_wait_ns.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,11 +45,10 @@ struct QueueItem {
   std::string payload;
 };
 
-class ShardedScheduler {
+class Scheduler {
  public:
   // Hot-path metric handles, all optional (null = not recorded).
   struct Hooks {
-    Counter* steals = nullptr;         // engine.sched_steal
     Counter* lock_wait_ns = nullptr;   // engine.sched_lock_wait_ns
     Counter* budget_wait_ns = nullptr; // engine.bin_queue_wait_ns
     Gauge* depth = nullptr;            // engine.bin_queue_depth
@@ -67,87 +62,54 @@ class ShardedScheduler {
     std::function<void()> task;
   };
 
-  ShardedScheduler(uint32_t workers, uint64_t byte_budget);
+  Scheduler(uint32_t workers, uint64_t byte_budget);
 
-  ShardedScheduler(const ShardedScheduler&) = delete;
-  ShardedScheduler& operator=(const ShardedScheduler&) = delete;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   void set_hooks(const Hooks& hooks) { hooks_ = hooks; }
-  uint32_t workers() const { return static_cast<uint32_t>(shards_.size()); }
+  uint32_t workers() const { return workers_; }
 
-  // Delivery-thread ingress. Blocks while the queued bytes exceed the budget
-  // unless `force` (crash retries re-add bytes they already own; blocking
-  // there could deadlock against the delivery thread). Returns false if the
-  // scheduler stopped while waiting (the item is dropped).
+  // Delivery-thread ingress. Blocks while the queued bytes are at or over the
+  // budget unless `force` (crash retries re-add bytes they already own;
+  // blocking there could deadlock against the delivery thread). Returns false
+  // if the scheduler stopped while waiting (the item is dropped).
   bool push_bin(QueueItem&& item, bool force = false);
 
-  // Round-robin task submission (any thread).
+  // Task submission (any thread).
   void push_task(std::function<void()> task);
 
-  // Blocking worker pop for worker `self` (0-based). Returns false when the
-  // scheduler is stopping and every shard has drained.
-  bool next(uint32_t self, Work* out);
+  // Blocking single-unit pop; false when stopping and drained.
+  bool next(Work* out);
 
-  // Batched pop: drains up to `max` units from worker self's own shard under
-  // ONE lock acquisition (one atomics update, one gauge publish, one budget
-  // check for the whole run), falling back to stealing a single unit when the
-  // own shard is empty. The batch is front-popped in order from one shard, so
-  // processing it in order preserves FIFO per sender. Appends to `out`;
-  // returns the number taken, 0 only when stopping and fully drained.
-  size_t next_batch(uint32_t self, std::vector<Work>* out, size_t max);
+  // Blocking batched pop: appends up to `max` units (at most the fair share)
+  // taken in queue order under one lock acquisition. Returns the number
+  // taken, 0 only when the scheduler is stopping and fully drained.
+  size_t next_batch(std::vector<Work>* out, size_t max);
 
   // Wakes everything; workers drain remaining work, push_bin waiters return.
   void stop();
 
-  uint64_t queued_bytes() const {
-    return queued_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t queued_items() const {
-    return pending_.load(std::memory_order_relaxed);
-  }
+  uint64_t queued_bytes() const;
+  uint64_t queued_items() const;
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::deque<QueueItem> bins;
-    std::deque<std::function<void()>> tasks;
-  };
+  std::unique_lock<std::mutex> lock_timed();
+  bool empty_locked() const { return bins_.empty() && tasks_.empty(); }
+  void publish_gauges_locked();
 
-  // Pop one unit from a shard whose mutex the caller already holds.
-  bool take_locked(Shard& shard, Work* out);
-  // Flush dequeue accounting for a drained batch (after the shard lock is
-  // dropped): one atomics update, one gauge publish, one budget-cross check.
-  void settle_batch(uint64_t units, uint64_t bins, uint64_t bytes);
-  void publish_gauges();
-
-  // deque: shards are immovable (mutex member), constructed in place.
-  std::deque<Shard> shards_;
+  const uint32_t workers_;
   const uint64_t byte_budget_;
   Hooks hooks_;
 
-  // Wakes sleeping workers after new work is visible (or on stop).
-  void notify_workers();
-
-  std::atomic<uint64_t> pending_{0};      // bins + tasks across all shards
-  std::atomic<uint64_t> pending_bins_{0};
-  std::atomic<uint64_t> queued_bytes_{0};
-  std::atomic<uint64_t> task_rr_{0};
-  std::atomic<bool> stopping_{false};
-
-  // Sleep/wake for idle workers; guards no queue data. Sleeping is
-  // edge-triggered on wake_seq_: a worker snapshots it, scans every shard,
-  // and sleeps only until the seq moves past its snapshot - so a worker
-  // that saw nothing parks instead of re-scanning (no spin), yet can never
-  // sleep through a push that happened after its snapshot. Pushers skip the
-  // notify entirely while no worker is registered in sleepers_.
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<uint64_t> wake_seq_{0};
-  std::atomic<uint32_t> sleepers_{0};
-
-  // Budget wait for the delivery thread.
-  std::mutex space_mu_;
-  std::condition_variable space_cv_;
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;   // idle workers
+  std::condition_variable space_cv_;  // push_bin over budget
+  std::deque<QueueItem> bins_;
+  std::deque<std::function<void()>> tasks_;
+  uint64_t queued_bytes_ = 0;
+  uint32_t idle_ = 0;  // workers waiting on work_cv_
+  bool stopping_ = false;
 };
 
 }  // namespace hamr::engine

@@ -15,7 +15,7 @@
 //
 // Records are opaque byte strings sorted lexicographically (carried as keys
 // with empty values), so equal records are byte-identical and the output is
-// byte-for-byte deterministic under any merge order, work stealing, or
+// byte-for-byte deterministic under any merge order, worker interleaving, or
 // chaos-plan retries.
 #pragma once
 

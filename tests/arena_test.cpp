@@ -1,5 +1,5 @@
 // Unit tests for the hot-path memory/scheduling primitives added by the
-// perf rework: Arena, FlatAccTable, BufferPool, and ShardedScheduler.
+// perf rework: Arena, FlatAccTable, BufferPool, and the engine Scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,21 +200,21 @@ TEST(BufferPool, DropsOversizedAndSurplusBuffers) {
   EXPECT_LE(pool.free_count(), 2u);  // bounded at max_buffers
 }
 
-// --- ShardedScheduler --------------------------------------------------------
+// --- Scheduler ---------------------------------------------------------------
 
-TEST(ShardedScheduler, FifoPerSenderStrictWithSingleConsumer) {
+TEST(Scheduler, FifoPerSenderStrictWithSingleConsumer) {
   // With one consumer there is no dequeue/record race to blur observation:
   // every sender's items must come back in exact arrival order even though
   // several producer threads interleave their pushes.
   for (int run = 0; run < 10; ++run) {
     const uint32_t kSenders = 5;
     const uint32_t kPerSender = 200;
-    engine::ShardedScheduler sched(/*workers=*/1, /*byte_budget=*/1ull << 30);
+    engine::Scheduler sched(/*workers=*/1, /*byte_budget=*/1ull << 30);
 
     std::map<uint32_t, std::vector<uint32_t>> dequeued;  // src -> seq order
     std::thread worker([&] {
-      engine::ShardedScheduler::Work work;
-      while (sched.next(0, &work)) {
+      engine::Scheduler::Work work;
+      while (sched.next(&work)) {
         if (!work.is_item) continue;
         dequeued[work.item.src].push_back(
             static_cast<uint32_t>(std::stoul(work.item.payload)));
@@ -248,28 +248,28 @@ TEST(ShardedScheduler, FifoPerSenderStrictWithSingleConsumer) {
   }
 }
 
-TEST(ShardedScheduler, FifoPerSenderAcrossEightWorkersUnderRepeatRuns) {
-  // With 8 workers stealing from each other, the shard deques are still
-  // front-pop-only, so successive takes of any ONE consumer from any one
-  // sender must be monotonically increasing (a LIFO or back-pop steal would
-  // break this), and every item must be dequeued exactly once. This is the
-  // strongest per-sender FIFO statement observable race-free from outside
-  // the shard lock: two consumers' records of adjacent items can interleave
-  // in wall-clock order even though the deque itself popped them in order.
+TEST(Scheduler, FifoPerSenderAcrossEightWorkersUnderRepeatRuns) {
+  // With 8 workers sharing the queue, it is still front-pop-only, so
+  // successive takes of any ONE consumer from any one sender must be
+  // monotonically increasing (a LIFO or back-pop would break this), and
+  // every item must be dequeued exactly once. This is the strongest
+  // per-sender FIFO statement observable race-free from outside the queue
+  // lock: two consumers' records of adjacent items can interleave in
+  // wall-clock order even though the deque itself popped them in order.
   for (int run = 0; run < 20; ++run) {
     const uint32_t kWorkers = 8;
     const uint32_t kSenders = 5;
     const uint32_t kPerSender = 200;
-    engine::ShardedScheduler sched(kWorkers, /*byte_budget=*/1ull << 30);
+    engine::Scheduler sched(kWorkers, /*byte_budget=*/1ull << 30);
 
     std::vector<std::map<uint32_t, std::vector<uint32_t>>> per_worker(kWorkers);
 
     std::vector<std::thread> workers;
     for (uint32_t w = 0; w < kWorkers; ++w) {
       workers.emplace_back([&, w] {
-        // Batched pop with batch stealing: the exact engine dequeue path.
-        std::vector<engine::ShardedScheduler::Work> batch;
-        while (sched.next_batch(w, &batch, 16) > 0) {
+        // Batched pop: the exact engine dequeue path.
+        std::vector<engine::Scheduler::Work> batch;
+        while (sched.next_batch(&batch, 16) > 0) {
           for (auto& work : batch) {
             if (!work.is_item) continue;
             per_worker[w][work.item.src].push_back(
@@ -317,46 +317,65 @@ TEST(ShardedScheduler, FifoPerSenderAcrossEightWorkersUnderRepeatRuns) {
   }
 }
 
-TEST(ShardedScheduler, IdleWorkersStealFromBusyShards) {
-  // All items come from one sender, so they land in one shard; the other
-  // workers can only make progress by stealing.
+TEST(Scheduler, OneSendersBacklogSpreadsAcrossWorkers) {
+  // One sender's backlog, no bigger than one engine batch, is queued before
+  // 8 workers start. Each pop takes at most its fair share of the backlog,
+  // so the first worker cannot take it all and at least one more worker
+  // must get items. Every item is dequeued exactly once, and each worker
+  // sees its items in increasing order.
   const uint32_t kWorkers = 8;
-  engine::ShardedScheduler sched(kWorkers, 1ull << 30);
-  Counter steals;
-  engine::ShardedScheduler::Hooks hooks;
-  hooks.steals = &steals;
-  sched.set_hooks(hooks);
+  const uint32_t kItems = 32;  // the engine's batch size
+  engine::Scheduler sched(kWorkers, 1ull << 30);
+  for (uint32_t i = 0; i < kItems; ++i) {
+    engine::QueueItem item;
+    item.src = 7;
+    item.payload = std::to_string(i);
+    ASSERT_TRUE(sched.push_bin(std::move(item)));
+  }
 
-  std::atomic<uint64_t> processed{0};
+  std::vector<std::vector<uint32_t>> per_worker(kWorkers);
+  std::atomic<uint32_t> started{0};
   std::vector<std::thread> workers;
   for (uint32_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
-      engine::ShardedScheduler::Work work;
-      while (sched.next(w, &work)) {
-        processed.fetch_add(1);
-        // A little work so thieves have something to take.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      // Start together so the backlog is what decides who gets work.
+      started.fetch_add(1);
+      while (started.load() < kWorkers) std::this_thread::yield();
+      std::vector<engine::Scheduler::Work> batch;
+      while (sched.next_batch(&batch, kItems) > 0) {
+        for (auto& work : batch) {
+          per_worker[w].push_back(
+              static_cast<uint32_t>(std::stoul(work.item.payload)));
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        batch.clear();
       }
     });
-  }
-
-  const uint64_t kItems = 400;
-  for (uint64_t i = 0; i < kItems; ++i) {
-    engine::QueueItem item;
-    item.src = 7;  // one shard gets everything
-    item.payload = "x";
-    ASSERT_TRUE(sched.push_bin(std::move(item)));
   }
   while (sched.queued_items() != 0) std::this_thread::yield();
   sched.stop();
   for (auto& t : workers) t.join();
 
-  EXPECT_EQ(processed.load(), kItems);
-  EXPECT_GT(steals.get(), 0u) << "no worker ever stole from the hot shard";
+  std::vector<uint32_t> all;
+  uint32_t busy = 0;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    const auto& seqs = per_worker[w];
+    for (size_t i = 1; i < seqs.size(); ++i) {
+      ASSERT_LT(seqs[i - 1], seqs[i]) << "worker " << w << " out of order";
+    }
+    if (!seqs.empty()) ++busy;
+    all.insert(all.end(), seqs.begin(), seqs.end());
+  }
+  EXPECT_GE(busy, 2u) << "one worker took the whole backlog";
+  ASSERT_EQ(all.size(), kItems);
+  std::sort(all.begin(), all.end());
+  for (uint32_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(all[i], i) << "item lost or duplicated";
+  }
 }
 
-TEST(ShardedScheduler, ByteBudgetBlocksAndForceBypasses) {
-  engine::ShardedScheduler sched(/*workers=*/1, /*byte_budget=*/64);
+TEST(Scheduler, ByteBudgetBlocksAndForceBypasses) {
+  engine::Scheduler sched(/*workers=*/1, /*byte_budget=*/64);
 
   engine::QueueItem a;
   a.src = 0;
@@ -373,9 +392,9 @@ TEST(ShardedScheduler, ByteBudgetBlocksAndForceBypasses) {
 
   // A normal push now blocks until a worker pops; run one pop concurrently.
   std::thread popper([&] {
-    engine::ShardedScheduler::Work work;
-    ASSERT_TRUE(sched.next(0, &work));
-    ASSERT_TRUE(sched.next(0, &work));
+    engine::Scheduler::Work work;
+    ASSERT_TRUE(sched.next(&work));
+    ASSERT_TRUE(sched.next(&work));
   });
   engine::QueueItem c;
   c.src = 0;
@@ -383,22 +402,22 @@ TEST(ShardedScheduler, ByteBudgetBlocksAndForceBypasses) {
   ASSERT_TRUE(sched.push_bin(std::move(c)));  // returns once under budget
   popper.join();
 
-  engine::ShardedScheduler::Work work;
-  std::thread last([&] { ASSERT_TRUE(sched.next(0, &work)); });
+  engine::Scheduler::Work work;
+  std::thread last([&] { ASSERT_TRUE(sched.next(&work)); });
   last.join();
   EXPECT_EQ(sched.queued_bytes(), 0u);
   sched.stop();
 }
 
-TEST(ShardedScheduler, TasksRunAndStopDrainsEverything) {
+TEST(Scheduler, TasksRunAndStopDrainsEverything) {
   const uint32_t kWorkers = 4;
-  engine::ShardedScheduler sched(kWorkers, 1ull << 30);
+  engine::Scheduler sched(kWorkers, 1ull << 30);
   std::vector<std::thread> workers;
   std::atomic<uint64_t> ran{0};
   for (uint32_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
-      engine::ShardedScheduler::Work work;
-      while (sched.next(w, &work)) {
+      engine::Scheduler::Work work;
+      while (sched.next(&work)) {
         if (!work.is_item) work.task();
       }
     });

@@ -464,8 +464,8 @@ TEST(Chaos, BackToBackJobsShareTheChannelState) {
 }
 
 TEST(Chaos, WordCountSurvivesChaosWithEightWorkerStealing) {
-  // Same byte-identical guarantee with 8 workers per node: the stealing
-  // scheduler's overlapped bin processing must not change recovery semantics
+  // Same byte-identical guarantee with 8 workers per node: 8 workers
+  // processing one node's bins in overlap must not change recovery semantics
   // or output. (CI runs this under TSan via the chaos label.)
   fault::FaultInjector injector(fault::FaultPlan::chaos(/*seed=*/29,
                                                         /*msg_rate=*/0.05,
@@ -485,12 +485,6 @@ TEST(Chaos, WordCountSurvivesChaosWithEightWorkerStealing) {
   auto info = apps::wordcount::run_hamr(env, staged);
   EXPECT_EQ(apps::wordcount::hamr_output(env), expected);
   EXPECT_GT(info.engine_result.faults_injected, 0u);
-  // Stealing actually engaged: 8 workers, 4 sender shards.
-  uint64_t steals = 0;
-  for (uint32_t n = 0; n < env.nodes(); ++n) {
-    steals += env.cluster->node(n).metrics().counter("engine.sched_steal")->get();
-  }
-  EXPECT_GT(steals, 0u);
 }
 
 TEST(ChaosStream, WindowedWordCountStaysByteIdenticalUnderChaos) {
