@@ -157,7 +157,7 @@ BENCHMARK(BM_CombineFoldFlatTable)->Arg(64)->Arg(4096);
 //
 // Stage N records then sort them by key, as the reduce path does before the
 // merge: two heap strings per record + pair sort (former layout) vs one
-// arena bump per record + prefix-keyed index sort.
+// arena bump per record + the engine's staged-record sort (sort_recs).
 
 namespace {
 
@@ -205,7 +205,7 @@ static void BM_StageArenaAndSort(benchmark::State& state) {
       rec.data = data;
       index.push_back(rec);
     }
-    std::stable_sort(index.begin(), index.end(), engine::internal::reduce_rec_less);
+    engine::internal::sort_recs(&index);
     benchmark::DoNotOptimize(index.size());
   }
   state.SetItemsProcessed(state.iterations() * kStageRecords);

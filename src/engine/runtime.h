@@ -113,6 +113,16 @@ inline bool reduce_rec_less(const ReduceStage::Rec& a, const ReduceStage::Rec& b
   return a.key() < b.key();
 }
 
+// The one sort of staged records (reduce-stage spill and pre-reduce sort,
+// sort-sink spill and finish). Leaves *recs exactly as
+// std::stable_sort(..., reduce_rec_less) would: an LSD radix sort over the
+// 8-byte prefix, skipping every byte that is equal in all records, then a
+// stable key compare only inside runs of equal prefix that the prefix does
+// not decide (a key longer than 8 bytes, or keys of different lengths:
+// "a" and "a\0" share a prefix). Both passes are stable, so same-key records
+// keep arrival order. The scratch buffer lives for the call only.
+void sort_recs(std::vector<ReduceStage::Rec>* recs);
+
 // Exact run-file size of `recs` once written: the RunWriter size hint of a
 // spill or of a merge that re-encodes them.
 uint64_t run_file_bytes(const std::vector<ReduceStage::Rec>& recs);

@@ -26,7 +26,7 @@ void KeySampler::add(std::string_view key) {
   // Classic reservoir step: element i replaces a slot with probability
   // capacity/i, keeping every prefix uniformly represented.
   const uint64_t j = next_rand() % seen_;
-  if (j < capacity_) samples_[j] = std::string(key);
+  if (j < capacity_) samples_[j] = key;  // reuses the slot's buffer
 }
 
 RangePartitioner RangePartitioner::from_samples(std::vector<std::string> samples,

@@ -4,9 +4,10 @@
 // every key on node i to be <= every key on node i+1. The classic TeraSort
 // answer: sample the input, pick p-1 quantile boundaries, and route each key
 // to the partition whose range contains it. KeySampler is the seeded
-// (deterministic) reservoir used for the sampling pass; RangePartitioner
-// holds the boundaries and plugs into the engine via
-// EdgeOptions::partitioner.
+// (deterministic) reservoir used for the sampling pass, one per node, each
+// over that node's input only (sort::sample_partitioner); RangePartitioner
+// holds the boundaries built from their joined samples and plugs into the
+// engine via EdgeOptions::partitioner.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,8 @@ namespace hamr::sort {
 
 // Uniform reservoir sampler over a key stream. Deterministic for a given
 // (capacity, seed, stream): every node and the driver can reproduce the
-// same sample without coordination.
+// same sample without coordination. Once full, a replaced slot reuses its
+// string's buffer.
 class KeySampler {
  public:
   KeySampler(size_t capacity, uint64_t seed);

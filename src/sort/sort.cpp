@@ -1,13 +1,16 @@
 #include "sort/sort.h"
 
-#include <algorithm>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "common/arena.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "engine/runtime.h"
+#include "obs/trace.h"
 #include "serde/batch.h"
 #include "sort/merge.h"
 #include "storage/run_file.h"
@@ -104,8 +107,9 @@ class SortSink : public engine::MapFlowlet {
       }
     }
     if (!to_spill.empty()) {
-      std::stable_sort(to_spill.begin(), to_spill.end(),
-                       engine::internal::reduce_rec_less);
+      obs::TraceSpan span("sort.spill", "sort", ctx.node(), -1,
+                          static_cast<int64_t>(to_spill.size()));
+      engine::internal::sort_recs(&to_spill);
       storage::RunWriter writer(&ctx.local_store(), spill_file,
                                 engine::internal::run_file_bytes(to_spill));
       for (const Rec& r : to_spill) writer.add(r.key(), r.value());
@@ -121,8 +125,9 @@ class SortSink : public engine::MapFlowlet {
       std::lock_guard<std::mutex> lock(mu_);
       wire_metrics(ctx);  // a node may receive zero records for its range
     }
-    std::stable_sort(index_.begin(), index_.end(),
-                     engine::internal::reduce_rec_less);
+    obs::TraceSpan span("sort.merge", "sort", ctx.node(), -1,
+                        static_cast<int64_t>(spill_paths_.size()));
+    engine::internal::sort_recs(&index_);
 
     struct Source {
       std::unique_ptr<storage::RunReader> reader;  // null => memory source
@@ -226,21 +231,47 @@ void stage_sort_input(cluster::Cluster& cluster, const SortSpec& spec,
 
 RangePartitioner sample_partitioner(cluster::Cluster& cluster,
                                     const SortSpec& spec, uint32_t parts) {
-  KeySampler sampler(spec.sample_capacity, spec.sample_seed);
-  for (uint32_t n = 0; n < cluster.size(); ++n) {
-    Result<storage::FileBuffer> file =
-        cluster.node(n).store().read_file(spec.input_path);
-    if (!file.ok()) continue;  // node without input contributes no samples
-    const std::string& data = *file.value();
-    size_t pos = 0;
-    std::vector<std::string_view> records;
-    while (pos < data.size()) {
-      records.clear();
-      serde::get_framed_run(data, &pos, 4096, &records);
-      for (const std::string_view rec : records) sampler.add(rec);
+  // One sampler per node, each on its own thread over that node's input.
+  // The samples are joined in node order, so the boundaries never depend on
+  // thread timing.
+  const uint32_t nodes = cluster.size();
+  const size_t per_node = (spec.sample_capacity + nodes - 1) / nodes;
+  std::vector<std::vector<std::string>> samples(nodes);
+  std::vector<std::exception_ptr> errors(nodes);
+  {
+    // jthreads join on scope exit, also if a later thread fails to start.
+    std::vector<std::jthread> threads;
+    threads.reserve(nodes);
+    for (uint32_t n = 0; n < nodes; ++n) {
+      threads.emplace_back([&, n] {
+        try {
+          Result<storage::FileBuffer> file =
+              cluster.node(n).store().read_file(spec.input_path);
+          if (!file.ok()) return;  // node without input contributes no samples
+          KeySampler sampler(per_node, hash_combine(spec.sample_seed, n));
+          const std::string& data = *file.value();
+          size_t pos = 0;
+          std::vector<std::string_view> records;
+          while (pos < data.size()) {
+            records.clear();
+            serde::get_framed_run(data, &pos, 4096, &records);
+            for (const std::string_view rec : records) sampler.add(rec);
+          }
+          samples[n] = sampler.take_samples();
+        } catch (...) {
+          errors[n] = std::current_exception();
+        }
+      });
     }
   }
-  return RangePartitioner::from_samples(sampler.take_samples(), parts);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::vector<std::string> all;
+  for (std::vector<std::string>& node_samples : samples) {
+    for (std::string& key : node_samples) all.push_back(std::move(key));
+  }
+  return RangePartitioner::from_samples(std::move(all), parts);
 }
 
 SortStats run_distributed_sort(engine::Engine& engine, const SortSpec& spec) {

@@ -6,12 +6,15 @@
 //
 // The loader streams a node-local framed-record file in chunks; the edge
 // routes each record by a RangePartitioner built from a seeded sampling pass
-// over the inputs; the sink stages arrivals in an arena with 8-byte
-// key-prefix index entries, spills sorted runs past the memory budget, and
-// on upstream completion merges spills + memory through a loser tree into
-// one sorted run file per node. Because partition i's keys all precede
-// partition i+1's, concatenating the per-node outputs in node order is the
-// globally sorted dataset.
+// over the inputs (one sampler thread per node); the sink stages arrivals in
+// an arena with 8-byte key-prefix index entries, sorts them with the engine's
+// staged-record kernel (engine::internal::sort_recs: prefix radix sort, key
+// compare only on undecided prefix ties), spills sorted runs past the memory
+// budget (trace span sort.spill), and on upstream completion merges spills +
+// memory through a loser tree into one sorted run file per node (trace span
+// sort.merge). Because partition i's keys all precede partition i+1's,
+// concatenating the per-node outputs in node order is the globally sorted
+// dataset.
 //
 // Records are opaque byte strings sorted lexicographically (carried as keys
 // with empty values), so equal records are byte-identical and the output is
@@ -40,7 +43,9 @@ struct SortSpec {
   uint64_t memory_budget_bytes = 8ull << 20;
   // Records decoded per loader chunk (fine-grain task size).
   size_t records_per_chunk = 2048;
-  // Sampling pass: reservoir capacity and seed (deterministic boundaries).
+  // Sampling pass: total reservoir capacity, split evenly over the nodes,
+  // and the seed each node's reservoir seed derives from (deterministic
+  // boundaries).
   size_t sample_capacity = 4096;
   uint64_t sample_seed = 0x5eed;
 };
@@ -58,8 +63,12 @@ std::string frame_records(const std::vector<std::string>& records);
 void stage_sort_input(cluster::Cluster& cluster, const SortSpec& spec,
                       const std::vector<std::string>& shards);
 
-// Seeded sampling pass over every node's staged input; boundaries balanced
-// for `parts` partitions (normally cluster size).
+// Seeded sampling pass over every node's staged input, one thread per node.
+// Node n fills its own KeySampler with ceil(sample_capacity / nodes) slots
+// and seed hash_combine(sample_seed, n); a node without an input file adds
+// nothing. The samples are joined in node order, so the boundaries (balanced
+// for `parts` partitions, normally cluster size) never depend on thread
+// timing.
 RangePartitioner sample_partitioner(cluster::Cluster& cluster,
                                     const SortSpec& spec, uint32_t parts);
 

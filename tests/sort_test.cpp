@@ -1,7 +1,9 @@
 // Tests for the distributed sort subsystem (src/sort/): range partitioner
 // boundary behavior on skewed / duplicate-heavy / empty inputs, the k-way
-// loser-tree merge against a reference, the batch serde codecs, and the
-// end-to-end sort with spills over the zero-copy reliable shuffle.
+// loser-tree merge against a reference, the staged-record sort kernel
+// against std::stable_sort, the batch serde codecs, the end-to-end sort with
+// spills over the zero-copy reliable shuffle, and the node-parallel sampling
+// pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 
 #include "apps/common.h"
 #include "common/random.h"
+#include "engine/runtime.h"
 #include "query/row.h"
 #include "serde/batch.h"
 #include "sort/merge.h"
@@ -225,6 +228,144 @@ TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
   }
 }
 
+// --- staged-record sort kernel ---------------------------------------------
+
+namespace {
+
+using Rec = engine::internal::ReduceStage::Rec;
+
+// Staged records over owned bytes: record i's value is its index, so every
+// record is distinct and the data pointers identify it.
+struct StagedRecs {
+  std::vector<std::string> bytes;
+  std::vector<Rec> recs;
+
+  explicit StagedRecs(const std::vector<std::string>& keys) {
+    bytes.reserve(keys.size());
+    recs.reserve(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      bytes.push_back(keys[i] + std::to_string(i));
+      Rec r;
+      r.prefix = engine::internal::key_prefix(keys[i]);
+      r.key_len = static_cast<uint32_t>(keys[i].size());
+      r.value_len = static_cast<uint32_t>(bytes.back().size() - keys[i].size());
+      r.data = bytes.back().data();
+      recs.push_back(r);
+    }
+  }
+};
+
+// sort_recs must leave exactly the order std::stable_sort gives, down to
+// which value sits where among equal keys.
+void expect_kernel_matches_stable_sort(const std::vector<std::string>& keys) {
+  const StagedRecs staged(keys);
+  std::vector<Rec> expected = staged.recs;
+  std::stable_sort(expected.begin(), expected.end(),
+                   engine::internal::reduce_rec_less);
+  std::vector<Rec> actual = staged.recs;
+  engine::internal::sort_recs(&actual);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].data, expected[i].data) << "position " << i;
+    ASSERT_EQ(actual[i].key_len, expected[i].key_len) << "position " << i;
+    ASSERT_EQ(actual[i].value_len, expected[i].value_len) << "position " << i;
+    ASSERT_EQ(actual[i].prefix, expected[i].prefix) << "position " << i;
+  }
+}
+
+// Keys over a tiny alphabet that includes '\0', so short keys collide on
+// their zero-padded prefix ("a" vs "a\0") and equal keys repeat.
+std::vector<std::string> tiny_alphabet_keys(size_t n, uint64_t seed,
+                                            size_t max_len) {
+  Rng rng(seed);
+  const char alphabet[] = {'\0', 'a', 'b'};
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::string key(rng.next_below(max_len + 1), '\0');
+    for (char& c : key) c = alphabet[rng.next_below(3)];
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+}  // namespace
+
+TEST(SortKernel, EmptyOneAndTwoRecords) {
+  expect_kernel_matches_stable_sort({});
+  expect_kernel_matches_stable_sort({"k"});
+  expect_kernel_matches_stable_sort({"b", "a"});
+  expect_kernel_matches_stable_sort({"a", "b"});
+  expect_kernel_matches_stable_sort({"same", "same"});
+  expect_kernel_matches_stable_sort({std::string("a\0", 2), "a"});
+}
+
+TEST(SortKernel, SeededRandomKeysSmallAndLarge) {
+  for (const size_t n : {3, 17, 100, 1000, 50000}) {
+    SCOPED_TRACE(n);
+    expect_kernel_matches_stable_sort(random_records(n, 100 + n, 0, 24));
+  }
+}
+
+TEST(SortKernel, ShortKeysWithZeroPaddingCollisions) {
+  for (const size_t n : {40, 5000}) {
+    SCOPED_TRACE(n);
+    expect_kernel_matches_stable_sort(tiny_alphabet_keys(n, 7 + n, 7));
+  }
+  // Every length of the all-zero key shares one prefix.
+  std::vector<std::string> zeros;
+  for (size_t i = 0; i < 3000; ++i) zeros.emplace_back((i * 7) % 9, '\0');
+  expect_kernel_matches_stable_sort(zeros);
+}
+
+TEST(SortKernel, DuplicateKeysKeepArrivalOrder) {
+  const std::vector<std::string> distinct = {
+      "", "x", "key", "exactly8", "longer-than-eight", "longer-than-eight!"};
+  Rng rng(21);
+  for (const size_t n : {50, 20000}) {
+    SCOPED_TRACE(n);
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < n; ++i) {
+      keys.push_back(distinct[rng.next_below(distinct.size())]);
+    }
+    expect_kernel_matches_stable_sort(keys);
+  }
+}
+
+TEST(SortKernel, LongKeysSharingPrefix) {
+  // One, then three 8-byte prefixes with random suffixes of 0-20 bytes:
+  // the prefix never decides these keys' order.
+  for (const size_t prefixes : {1, 3}) {
+    SCOPED_TRACE(prefixes);
+    Rng rng(31 + prefixes);
+    const auto suffixes = random_records(4000, 41 + prefixes, 0, 20);
+    std::vector<std::string> keys;
+    for (const std::string& suffix : suffixes) {
+      keys.push_back("prefix-" + std::to_string(rng.next_below(prefixes)) +
+                     suffix);
+    }
+    expect_kernel_matches_stable_sort(keys);
+  }
+}
+
+TEST(SortKernel, ConstantBytesAreSkippedWithoutChangingOrder) {
+  // Bytes 0 and 3 are the same in every key; the other prefix bytes take
+  // four values each, so prefixes collide. Fixed 8-byte keys need no tie
+  // pass, 12-byte ones do.
+  for (const size_t len : {8, 12}) {
+    SCOPED_TRACE(len);
+    auto keys = random_records(3000, 51 + len, len, len);
+    for (std::string& key : keys) {
+      for (const size_t b : {1, 2, 4, 5, 6, 7}) {
+        key[b] = static_cast<char>(key[b] & 0x3);
+      }
+      key[0] = 'C';
+      key[3] = '\x7f';
+    }
+    expect_kernel_matches_stable_sort(keys);
+  }
+}
+
 // --- batch codecs -----------------------------------------------------------
 
 TEST(BatchCodec, FixedWidthRunsRoundTrip) {
@@ -387,15 +528,17 @@ struct SortRun {
   sort::SortStats stats;
 };
 
+// Deals `data` round-robin onto the first `input_nodes` nodes (all of them
+// by default); the rest get no input file.
 SortRun run_sort(apps::BenchEnv& env, const std::vector<std::string>& data,
-                 uint64_t budget_bytes) {
-  const uint32_t nodes = env.nodes();
+                 uint64_t budget_bytes, sort::SortSpec spec = {},
+                 uint32_t input_nodes = 0) {
+  const uint32_t nodes = input_nodes == 0 ? env.nodes() : input_nodes;
   std::vector<std::vector<std::string>> shards(nodes);
   for (size_t i = 0; i < data.size(); ++i) shards[i % nodes].push_back(data[i]);
   std::vector<std::string> framed;
   for (const auto& s : shards) framed.push_back(sort::frame_records(s));
 
-  sort::SortSpec spec;
   spec.memory_budget_bytes = budget_bytes;
   sort::stage_sort_input(*env.cluster, spec, framed);
   SortRun run;
@@ -463,5 +606,66 @@ TEST(DistributedSort, SingleNodeMatchesReference) {
   std::vector<std::string> expected = data;
   std::sort(expected.begin(), expected.end());
   const SortRun run = run_sort(env, data, 32 * 1024);
+  EXPECT_EQ(run.sorted, expected);
+}
+
+TEST(DistributedSort, EightNodesMatchReference) {
+  apps::BenchEnv env = apps::BenchEnv::fast(8);
+  const auto data = random_records(20000, 71, 8, 40);
+  std::vector<std::string> expected = data;
+  std::sort(expected.begin(), expected.end());
+  const SortRun run = run_sort(env, data, 32 * 1024);
+  EXPECT_EQ(run.sorted, expected);
+  EXPECT_EQ(run.stats.partitioner.partitions(), 8u);
+}
+
+// --- node-parallel sampling pass -------------------------------------------
+
+TEST(SamplePartitioner, RepeatedCallsReturnIdenticalBoundaries) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  sort::SortSpec spec;
+  spec.sample_capacity = 256;  // far below the input: reservoirs replace
+  const auto data = random_records(20000, 81, 8, 32);
+  std::vector<std::string> framed(4);
+  for (uint32_t n = 0; n < 4; ++n) {
+    std::vector<std::string> shard;
+    for (size_t i = n; i < data.size(); i += 4) shard.push_back(data[i]);
+    framed[n] = sort::frame_records(shard);
+  }
+  sort::stage_sort_input(*env.cluster, spec, framed);
+  const std::vector<std::string> first =
+      sort::sample_partitioner(*env.cluster, spec, 4).boundaries();
+  ASSERT_EQ(first.size(), 3u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(sort::sample_partitioner(*env.cluster, spec, 4).boundaries(), first)
+        << "call " << i;
+  }
+}
+
+TEST(SamplePartitioner, NodeWithoutInputContributesNoSamples) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  // 900 records on nodes 0-2, none on node 3. Each node's reservoir
+  // (4096 / 4 = 1024 slots) holds its whole input, so the sample is exactly
+  // the staged records.
+  const auto data = random_records(900, 91, 8, 32);
+  std::vector<std::string> expected = data;
+  std::sort(expected.begin(), expected.end());
+  const SortRun run = run_sort(env, data, 8 * 1024, {}, /*input_nodes=*/3);
+  EXPECT_FALSE(env.cluster->node(3).store().exists(sort::SortSpec().input_path));
+  EXPECT_EQ(run.stats.partitioner.boundaries(),
+            sort::RangePartitioner::from_samples(data, 4).boundaries());
+  EXPECT_EQ(run.sorted, expected);
+}
+
+TEST(SamplePartitioner, CapacityBelowNodeCountStillSorts) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  sort::SortSpec spec;
+  spec.sample_capacity = 3;  // one sample per node
+  const auto data = random_records(4000, 101, 8, 32);
+  std::vector<std::string> expected = data;
+  std::sort(expected.begin(), expected.end());
+  const SortRun run = run_sort(env, data, 16 * 1024, spec);
+  EXPECT_GE(run.stats.partitioner.partitions(), 2u);
+  EXPECT_LE(run.stats.partitioner.partitions(), 4u);
   EXPECT_EQ(run.sorted, expected);
 }
