@@ -669,3 +669,14 @@ TEST(SamplePartitioner, CapacityBelowNodeCountStillSorts) {
   EXPECT_LE(run.stats.partitioner.partitions(), 4u);
   EXPECT_EQ(run.sorted, expected);
 }
+
+TEST(SamplePartitioner, MalformedInputThrowsToCaller) {
+  apps::BenchEnv env = apps::BenchEnv::fast(2);
+  sort::SortSpec spec;
+  sort::stage_sort_input(*env.cluster, spec,
+                         {sort::frame_records({"alpha", "beta"}),
+                          std::string("\x32" "abc")});  // frame of 50, 3 bytes
+  // The sampler thread's decode error reaches the caller, not terminate().
+  EXPECT_THROW(sort::sample_partitioner(*env.cluster, spec, 2),
+               serde::DecodeError);
+}
