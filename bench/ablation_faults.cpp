@@ -73,13 +73,14 @@ int main(int argc, char** argv) {
 
     if (baseline_s == 0) baseline_s = best_s;
     const double overhead = (best_s - baseline_s) / baseline_s * 100.0;
+    const obs::MetricsSnapshot& m = best.metrics;
     std::printf("%-18s %9.3f %9.1f%% %9llu %9llu %9llu %9llu %10llu\n", v.name,
                 best_s, overhead,
                 static_cast<unsigned long long>(best.faults_injected),
-                static_cast<unsigned long long>(best.frames_resent),
-                static_cast<unsigned long long>(best.duplicate_frames),
-                static_cast<unsigned long long>(best.task_retries),
-                static_cast<unsigned long long>(best.spill_retries));
+                static_cast<unsigned long long>(m.counter("engine.resends")),
+                static_cast<unsigned long long>(m.counter("engine.dup_frames")),
+                static_cast<unsigned long long>(m.counter("engine.task_retries")),
+                static_cast<unsigned long long>(m.counter("engine.spill_retries")));
     std::fflush(stdout);
   }
   finish_observability(setup);

@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
     auto staged = apps::stage_input(env, "hr_fc", shards);
     auto info = apps::histograms::run_hamr(env, staged,
                                            apps::histograms::Kind::kRatings);
+    const obs::MetricsSnapshot& m = info.engine_result.metrics;
     std::printf("%-18s %10.3f %10llu %14.3f\n",
                 fc ? "flow control ON" : "flow control OFF", info.seconds,
-                static_cast<unsigned long long>(
-                    info.engine_result.flow_control_stalls),
-                info.engine_result.flow_control_stall_seconds);
+                static_cast<unsigned long long>(m.counter("engine.stalls")),
+                static_cast<double>(m.counter("engine.stall_ns")) * 1e-9);
     std::fflush(stdout);
   }
   return 0;

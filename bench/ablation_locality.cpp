@@ -32,11 +32,12 @@ int main(int argc, char** argv) {
     auto staged = apps::stage_input(env, "km_loc", shards);
     const auto params = apps::kmeans::make_params(shards, 8);
     auto info = apps::kmeans::run_hamr(env, staged, params, ship_full);
+    const obs::MetricsSnapshot& m = info.engine_result.metrics;
     std::printf("%-24s %10.3f %14llu %12llu\n",
                 ship_full ? "ship full vectors" : "pass index (locality)",
                 info.seconds,
-                static_cast<unsigned long long>(info.engine_result.bin_bytes),
-                static_cast<unsigned long long>(info.engine_result.records_emitted));
+                static_cast<unsigned long long>(m.counter("engine.bin_bytes")),
+                static_cast<unsigned long long>(m.counter("engine.records")));
     std::fflush(stdout);
   }
   return 0;

@@ -34,8 +34,10 @@ int main(int argc, char** argv) {
     auto info = apps::wordcount::run_hamr(env, staged, /*combine=*/false,
                                           /*use_full_reduce=*/true);
     if (base_time == 0) base_time = info.seconds;
+    const uint64_t spill_bytes =
+        info.engine_result.metrics.counter("engine.spill_bytes");
     std::printf("%-14.2f %10.3f %14llu %11.2fx\n", budget, info.seconds,
-                static_cast<unsigned long long>(info.engine_result.spill_bytes),
+                static_cast<unsigned long long>(spill_bytes),
                 info.seconds / base_time);
     std::fflush(stdout);
   }

@@ -28,10 +28,11 @@ int main(int argc, char** argv) {
     }
     auto staged = apps::stage_input(env, "wc_pr", shards);
     auto info = apps::wordcount::run_hamr(env, staged, /*combine=*/false, full);
+    const obs::MetricsSnapshot& m = info.engine_result.metrics;
     std::printf("%-22s %10.3f %12llu %14llu\n",
                 full ? "full reduce" : "partial reduce", info.seconds,
-                static_cast<unsigned long long>(info.engine_result.bins_sent),
-                static_cast<unsigned long long>(info.engine_result.spill_bytes));
+                static_cast<unsigned long long>(m.counter("engine.bins")),
+                static_cast<unsigned long long>(m.counter("engine.spill_bytes")));
     std::fflush(stdout);
   }
   return 0;

@@ -236,8 +236,9 @@ BENCHMARK(BM_BinBuildPooled)->Arg(16)->Arg(256);
 //
 // Head-to-heads for the batch (vectorized) entry points in serde/batch.h:
 // fixed-width runs (one memcpy per run vs one put_fixed64/get_fixed64 per
-// value) and string runs (one bounds check per run vs one per value). The
-// row codec (query/row.cpp) and the sort record path ride the batch side.
+// value). The row codec (query/row.cpp) rides the batch side for numeric
+// columns; its string columns are the scalar length-prefixed cells timed by
+// BM_StringRun*Scalar.
 
 namespace {
 
@@ -338,22 +339,6 @@ static void BM_StringRunEncodeScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_StringRunEncodeScalar);
 
-static void BM_StringRunEncodeBatch(benchmark::State& state) {
-  const auto values = run_strings();
-  uint64_t bytes = 0;
-  for (const auto& s : values) bytes += s.size();
-  std::vector<std::string_view> views(values.begin(), values.end());
-  ByteBuffer buf(256 * 1024);
-  for (auto _ : state) {
-    buf.clear();
-    serde::Writer w(buf);
-    serde::put_string_run(w, views);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
-}
-BENCHMARK(BM_StringRunEncodeBatch);
-
 static void BM_StringRunDecodeScalar(benchmark::State& state) {
   const auto values = run_strings();
   uint64_t bytes = 0;
@@ -372,25 +357,6 @@ static void BM_StringRunDecodeScalar(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_StringRunDecodeScalar);
-
-static void BM_StringRunDecodeBatch(benchmark::State& state) {
-  const auto values = run_strings();
-  uint64_t bytes = 0;
-  for (const auto& s : values) bytes += s.size();
-  std::vector<std::string_view> views(values.begin(), values.end());
-  ByteBuffer buf(256 * 1024);
-  serde::Writer w(buf);
-  serde::put_string_run(w, views);
-  std::vector<std::string_view> out;
-  for (auto _ : state) {
-    out.clear();
-    serde::Reader r(buf.view());
-    serde::get_string_run(r, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
-}
-BENCHMARK(BM_StringRunDecodeBatch);
 
 // --- row blocks --------------------------------------------------------------
 //

@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
     live_inputs.add(live, split);
   }
   const double seconds = flags.get_double("seconds", 2);
-  const auto speed_result = env.engine->run_streaming(
-      speed, live_inputs, from_seconds(seconds), /*window_every=*/millis(0));
+  const auto speed_result =
+      env.engine->run_streaming(speed, live_inputs, from_seconds(seconds));
   std::printf("speed layer: streamed %.1f s in %.3f s wall\n", seconds,
               speed_result.wall_seconds);
 

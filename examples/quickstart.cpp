@@ -67,12 +67,13 @@ int main(int argc, char** argv) {
 
   // 4. Run and inspect.
   const engine::JobResult result = env.engine->run(graph, apps::inputs_for(loader, input));
+  const obs::MetricsSnapshot& m = result.metrics;
   std::printf("processed %.1f MB in %.3f s (%llu records, %llu bins, "
               "%llu flow-control stalls)\n",
               static_cast<double>(input.total_bytes) / 1e6, result.wall_seconds,
-              static_cast<unsigned long long>(result.records_emitted),
-              static_cast<unsigned long long>(result.bins_sent),
-              static_cast<unsigned long long>(result.flow_control_stalls));
+              static_cast<unsigned long long>(m.counter("engine.records")),
+              static_cast<unsigned long long>(m.counter("engine.bins")),
+              static_cast<unsigned long long>(m.counter("engine.stalls")));
 
   const auto counts = apps::to_counts(apps::collect_local_kv(*env.cluster, "out/quickstart/"));
   std::printf("distinct words: %zu\n", counts.size());

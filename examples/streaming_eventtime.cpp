@@ -3,10 +3,10 @@
 // Starts an unbounded deterministic event stream through the job service
 // (start), watches it run with live per-stream counters (poll), then winds
 // it down gracefully (drain) - open windows flush and the stream completes
-// like a batch job, its sink output in the ticket payload. Contrast with
-// examples/streaming_trending.cpp, which drives run_streaming directly on
-// one engine with processing-time windows; this one gets *event-time*
-// tumbling windows, watermarks, and the service lifecycle (DESIGN.md §12).
+// like a batch job, its sink output in the ticket payload. It shows the
+// event-time model (tumbling windows, watermarks) and the service lifecycle
+// (DESIGN.md §12); examples/streaming_trending.cpp runs the same model with
+// a custom sink in place of the default window file sink.
 //
 // Run:  ./examples/streaming_eventtime [--seconds=2] [--window_ms=50]
 //       [--nodes=4] [--lanes=2]

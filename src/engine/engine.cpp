@@ -43,15 +43,15 @@ Engine::Engine(cluster::Cluster& cluster, EngineConfig config)
 Engine::~Engine() = default;
 
 JobResult Engine::run(const FlowletGraph& graph, const JobInputs& inputs) {
-  return run_internal(graph, inputs, Duration::zero(), Duration::zero());
+  return run_internal(graph, inputs, Duration::zero());
 }
 
 JobResult Engine::run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                                Duration duration, Duration window_every) {
+                                Duration duration) {
   if (duration <= Duration::zero()) {
     throw std::invalid_argument("streaming duration must be positive");
   }
-  return run_internal(graph, inputs, duration, window_every);
+  return run_internal(graph, inputs, duration);
 }
 
 namespace {
@@ -78,7 +78,7 @@ class RunGuard {
 }  // namespace
 
 JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& inputs,
-                               Duration stream_duration, Duration window_every) {
+                               Duration stream_duration) {
   graph.validate();
   {
     std::lock_guard<std::mutex> lock(done_mu_);
@@ -191,38 +191,18 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
     runtimes_[n]->activate_job(assignment[n]);
   }
 
-  // Streaming: punctuate windows until the duration elapses, then ask the
-  // sources to stop; completion cascades exactly as in batch.
+  // Streaming: run until the duration elapses, then ask the sources to stop;
+  // completion cascades exactly as in batch. The wait is interruptible:
+  // request_cancel() / request_stream_drain() notify done_cv_ so a cancelled
+  // or drained streaming job stops its sources promptly instead of sleeping
+  // out the remaining duration.
   if (stream_duration > Duration::zero()) {
-    const TimePoint deadline = now() + stream_duration;
-    while (now() < deadline && !cancel_requested() &&
-           !drain_requested_.load(std::memory_order_relaxed)) {
-      const Duration nap = window_every > Duration::zero()
-                               ? std::min(window_every, deadline - now())
-                               : deadline - now();
-      {
-        // Interruptible nap: request_cancel() / request_stream_drain()
-        // notify done_cv_ so a cancelled or drained streaming job stops its
-        // sources promptly instead of sleeping out the remaining duration.
-        std::unique_lock<std::mutex> lock(done_mu_);
-        done_cv_.wait_for(lock, nap, [&] {
-          return cancel_requested_.load(std::memory_order_relaxed) ||
-                 drain_requested_.load(std::memory_order_relaxed);
-        });
-      }
-      if (now() >= deadline || cancel_requested() ||
-          drain_requested_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (window_every > Duration::zero()) {
-        for (uint32_t n = 0; n < num_nodes; ++n) {
-          for (FlowletId f = 0; f < graph.num_flowlets(); ++f) {
-            if (graph.flowlet(f).kind != FlowletKind::kPartialReduce) continue;
-            NodeRuntime* rt = runtimes_[n].get();
-            rt->submit_task([rt, f] { rt->flush_window(f); });
-          }
-        }
-      }
+    {
+      std::unique_lock<std::mutex> lock(done_mu_);
+      done_cv_.wait_until(lock, now() + stream_duration, [&] {
+        return cancel_requested_.load(std::memory_order_relaxed) ||
+               drain_requested_.load(std::memory_order_relaxed);
+      });
     }
     for (auto& rt : runtimes_) rt->request_stream_stop();
   }
@@ -243,18 +223,6 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
   result.cancelled = cancel_requested();
   result.wall_seconds = watch.elapsed_seconds();
   result.metrics = after.delta_since(before);
-  const obs::MetricsSnapshot& m = result.metrics;
-  result.records_emitted = m.counter("engine.records");
-  result.bins_sent = m.counter("engine.bins");
-  result.bin_bytes = m.counter("engine.bin_bytes");
-  result.spill_bytes = m.counter("engine.spill_bytes");
-  result.flow_control_stalls = m.counter("engine.stalls");
-  result.flow_control_stall_seconds =
-      static_cast<double>(m.counter("engine.stall_ns")) * 1e-9;
-  result.task_retries = m.counter("engine.task_retries");
-  result.spill_retries = m.counter("engine.spill_retries");
-  result.frames_resent = m.counter("engine.resends");
-  result.duplicate_frames = m.counter("engine.dup_frames");
   if (config_.fault_injector != nullptr) {
     result.faults_injected = config_.fault_injector->stats().total() - faults_before;
   }

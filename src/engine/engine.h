@@ -24,17 +24,6 @@ namespace hamr::engine {
 
 struct JobResult {
   double wall_seconds = 0;
-  uint64_t records_emitted = 0;
-  uint64_t bins_sent = 0;
-  uint64_t bin_bytes = 0;
-  uint64_t spill_bytes = 0;
-  uint64_t flow_control_stalls = 0;
-  double flow_control_stall_seconds = 0;
-  // Fault recovery (all zero on a fault-free run without an injector):
-  uint64_t task_retries = 0;       // crashed flowlet tasks re-enqueued
-  uint64_t spill_retries = 0;      // failed spill writes retried
-  uint64_t frames_resent = 0;      // reliable-channel retransmissions
-  uint64_t duplicate_frames = 0;   // frames suppressed by seq dedup
   uint64_t faults_injected = 0;    // injector events during this job
 
   // True when the job was aborted via Engine::request_cancel(): the run
@@ -45,8 +34,8 @@ struct JobResult {
   // Cluster-wide metrics delta for this job: every counter that moved,
   // final gauge levels, and latency histograms - including the per-flowlet
   // task-latency histograms engine.flowlet.<id>.task_us registered at job
-  // build time. The scalar fields above are views into this snapshot kept
-  // for compatibility.
+  // build time. Job counters are read from here, e.g.
+  // metrics.counter("engine.records") or metrics.counter("engine.resends").
   obs::MetricsSnapshot metrics;
 };
 
@@ -64,10 +53,12 @@ class Engine {
 
   // Runs a streaming job: stream loaders (LoaderFlowlets that keep returning
   // true from load_chunk until Context::stream_stopping()) are stopped after
-  // `duration`; every partial-reduce flowlet's window is flushed downstream
-  // each `window_every` until then. Completion then cascades as in batch.
+  // `duration`, or earlier on request_stream_drain()/request_cancel().
+  // Completion then cascades as in batch. Windows are event-time only: a
+  // stream_windowed partial reduce closes them on watermark punctuation
+  // (src/stream/), and any other partial reduce emits once, at completion.
   JobResult run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                          Duration duration, Duration window_every);
+                          Duration duration);
 
   // Asks the currently running job (if any) to abort: loaders stop, queued
   // bins are drained without processing, reduce stages are skipped, and the
@@ -103,7 +94,7 @@ class Engine {
   friend class TaskContext;
 
   JobResult run_internal(const FlowletGraph& graph, const JobInputs& inputs,
-                         Duration stream_duration, Duration window_every);
+                         Duration stream_duration);
   void node_job_done(uint32_t node);
   NodeRuntime& runtime(uint32_t node) { return *runtimes_.at(node); }
 

@@ -12,7 +12,7 @@
 //   * PartialReduceFlowlet - commutative+associative incremental aggregation;
 //                            folds each record on arrival into a node-shared
 //                            accumulator table and emits on upstream
-//                            completion (or on a streaming window flush).
+//                            completion (or, windowed, on a watermark).
 //
 // Application code interacts with the runtime only through Context.
 #pragma once
@@ -129,9 +129,10 @@ class PartialReduceFlowlet : public Flowlet {
 
   // --- event-time windowing hooks (see src/stream/) ------------------------
   // A *windowed* partial reduce accumulates per-(window, key) state and
-  // closes windows when in-band watermark punctuation aligns, instead of the
-  // processing-time flush. Batch flowlets keep the defaults; the engine
-  // caches stream_windowed() at job build so the batch hot path pays nothing.
+  // closes windows when in-band watermark punctuation aligns, instead of
+  // emitting everything once at completion. Batch flowlets keep the
+  // defaults; the engine caches stream_windowed() at job build so the batch
+  // hot path pays nothing.
 
   virtual bool stream_windowed() const { return false; }
 

@@ -1254,30 +1254,6 @@ void NodeRuntime::broadcast_complete(FlowletId flowlet) {
 
 // --- streaming -----------------------------------------------------------
 
-void NodeRuntime::flush_window(FlowletId flowlet) {
-  auto job = current_job();
-  if (!job) return;
-  internal::FlowletState& fs = *job->flowlets[flowlet];
-  if (fs.kind != FlowletKind::kPartialReduce || fs.complete.load() ||
-      fs.finish_scheduled.load() || job_cancelled()) {
-    return;
-  }
-  // Event-time flowlets close on watermarks only: a processing-time flush
-  // here would emit still-open windows and break exactly-once.
-  if (fs.stream_windowed) return;
-  auto* pr = static_cast<PartialReduceFlowlet*>(fs.instance.get());
-  TaskContext ctx(this, job.get(), flowlet);
-  for (auto& stripe : fs.table->stripes) {
-    FlatAccTable drained;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      drained = std::move(stripe.acc);
-      stripe.acc = FlatAccTable(arena_bytes_g_);
-    }
-    for (auto& e : drained.entries()) pr->emit_result(e.key, e.acc, ctx);
-  }
-}
-
 void NodeRuntime::mark_bin_done(internal::FlowletState& fs, uint64_t index) {
   std::lock_guard<std::mutex> lock(fs.done_mu);
   uint64_t prefix = fs.done_prefix.load(std::memory_order_relaxed);

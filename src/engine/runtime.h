@@ -310,7 +310,6 @@ class NodeRuntime {
   void broadcast_complete(FlowletId flowlet);
   void flush_combine_stripe(internal::JobState& job, EdgeId edge_id,
                             uint32_t stripe_index);
-  void flush_window(FlowletId flowlet);  // processing-time streaming flush
   // Event-time close path: fires the armed watermark barrier once all bins
   // enqueued before arming are processed, then drains every accumulator
   // whose window end <= watermark through emit_result (exactly once; open

@@ -165,7 +165,6 @@ void Schema::encode_row_block(const Row* rows, size_t count,
   writer->put_varint(count);
   std::vector<uint64_t> u64s;
   std::vector<double> f64s;
-  std::vector<std::string_view> views;
   for (size_t c = 0; c < cols.size(); ++c) {
     const ColType type = cols[c].type;
     for (size_t i = 0; i < count; ++i) {
@@ -191,10 +190,7 @@ void Schema::encode_row_block(const Row* rows, size_t count,
         serde::put_f64_run(*writer, f64s);
         break;
       case ColType::kStr:
-        views.clear();
-        views.reserve(count);
-        for (size_t i = 0; i < count; ++i) views.push_back(rows[i][c].s);
-        serde::put_string_run(*writer, views);
+        for (size_t i = 0; i < count; ++i) writer->put_bytes(rows[i][c].s);
         break;
     }
   }
@@ -211,7 +207,7 @@ void Schema::decode_row_block(std::string_view bytes,
                               std::vector<Row>* rows) const {
   serde::Reader reader(bytes);
   const uint64_t count = reader.get_varint();
-  // Every column run spends at least one byte per row, so a count beyond the
+  // Every column spends at least one byte per row, so a count beyond the
   // remaining bytes is corrupt - reject it before sizing anything by it.
   if (!cols.empty() && count > reader.remaining()) {
     throw serde::DecodeError("row block count " + std::to_string(count) +
@@ -224,7 +220,6 @@ void Schema::decode_row_block(std::string_view bytes,
   // one set of buffers per thread suffices.
   thread_local std::vector<uint64_t> u64s;
   thread_local std::vector<double> f64s;
-  thread_local std::vector<std::string_view> views;
   for (size_t c = 0; c < cols.size(); ++c) {
     switch (cols[c].type) {
       case ColType::kI64:
@@ -248,13 +243,11 @@ void Schema::decode_row_block(std::string_view bytes,
         }
         break;
       case ColType::kStr:
-        views.clear();
-        serde::get_string_run(reader, &views);
-        if (views.size() != count) throw serde::DecodeError("str run count");
         for (uint64_t i = 0; i < count; ++i) {
           Value& v = (*rows)[i][c];
           v.type = ColType::kStr;
-          v.s.assign(views[i].data(), views[i].size());
+          const std::string_view cell = reader.get_bytes();
+          v.s.assign(cell.data(), cell.size());
         }
         break;
     }

@@ -86,11 +86,10 @@ struct Schema {
   Row decode_row(serde::Reader* reader) const;
   Row decode_row(std::string_view bytes) const;
 
-  // Column-major batch codec for staged shards (serde/batch.h runs): varint
-  // row count, then each column as one contiguous run - i64/f64 as raw
-  // fixed-width runs moved with a single memcpy, strings as a length block
-  // plus one bounds-checked payload block. Pays one check per column per
-  // block instead of one per cell; same arity/type errors as encode_row.
+  // Column-major batch codec for staged shards: varint row count, then each
+  // column in turn - i64/f64 as raw fixed-width runs (serde/batch.h) moved
+  // with a single memcpy, strings as one length-prefixed cell per row. Same
+  // arity/type errors as encode_row.
   // Note: this is a *block* layout, distinct from the injective per-row
   // encoding the differential tests canonicalize with.
   void encode_row_block(const Row* rows, size_t count,

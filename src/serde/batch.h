@@ -8,13 +8,13 @@
 //   * fixed-width runs (u64 / f64): varint count, then count*8 raw bytes
 //     moved with a single memcpy each way (little-endian hosts only, same
 //     assumption as Writer::put_fixed64);
-//   * string runs: varint count, then the count varint lengths, then all
-//     payload bytes concatenated - the decoder bounds-checks the payload
-//     block once and slices views out of it.
+//   * framed record runs: the length-prefixed (varint len | bytes)* stream
+//     shared by staged table shards and sort run files.
 //
-// bench/micro_serde.cpp carries scalar-vs-batch head-to-heads for both
-// shapes; the batch side is the contract the row codec (query/row.cpp) and
-// the sort record path build on.
+// Strings have no batch form: a run of length-prefixed scalar cells
+// (Writer::put_bytes) decodes faster than a lengths-then-payload block, so
+// the row codec (query/row.cpp) writes string columns cell by cell.
+// bench/micro_serde.cpp carries the scalar-vs-batch head-to-heads.
 #pragma once
 
 #include <cstdint>
@@ -60,47 +60,6 @@ inline void get_f64_run(Reader& r, std::vector<double>* out) {
   const size_t base = out->size();
   out->resize(base + count);
   if (count != 0) std::memcpy(out->data() + base, raw.data(), raw.size());
-}
-
-// --- string runs -----------------------------------------------------------
-
-inline void put_string_run(Writer& w, const std::string_view* values,
-                           size_t count) {
-  w.put_varint(count);
-  for (size_t i = 0; i < count; ++i) w.put_varint(values[i].size());
-  for (size_t i = 0; i < count; ++i) {
-    w.put_raw(values[i].data(), values[i].size());
-  }
-}
-
-inline void put_string_run(Writer& w, const std::vector<std::string_view>& values) {
-  put_string_run(w, values.data(), values.size());
-}
-
-// Decoded views point into the Reader's underlying buffer (same lifetime
-// rule as Reader::get_bytes). The payload block is bounds-checked once for
-// the whole run.
-inline void get_string_run(Reader& r, std::vector<std::string_view>* out) {
-  const uint64_t count = r.get_varint();
-  // Every length takes at least one byte, and no length can exceed what is
-  // left: corrupt counts and lengths fail here, before anything is sized by
-  // them (and before the length sum can overflow).
-  if (count > r.remaining()) throw DecodeError("string run count overflow");
-  thread_local std::vector<uint64_t> lens;  // reused: no per-run allocation
-  lens.resize(count);
-  uint64_t total = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    lens[i] = r.get_varint();
-    if (lens[i] > r.remaining()) throw DecodeError("string run length");
-    total += lens[i];
-  }
-  std::string_view payload = r.get_raw(total);
-  out->reserve(out->size() + count);
-  size_t off = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    out->push_back(payload.substr(off, lens[i]));
-    off += lens[i];
-  }
 }
 
 // --- framed record runs ----------------------------------------------------

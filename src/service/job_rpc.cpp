@@ -119,7 +119,7 @@ std::string JobRpcServer::handle_result(std::string_view arg) {
   w.put_bytes(t->payload());
   w.put_bytes(t->error());
   w.put_double(result.wall_seconds);
-  w.put_varint(result.records_emitted);
+  w.put_varint(result.metrics.counter("engine.records"));
   return std::string(buf.view());
 }
 

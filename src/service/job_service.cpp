@@ -316,8 +316,7 @@ void JobService::run_job(uint32_t lane, const std::shared_ptr<Job>& job) {
   try {
     result = stream_duration > Duration::zero()
                  ? eng.run_streaming(job->work.graph, job->work.inputs,
-                                     stream_duration,
-                                     job->work.window_every)
+                                     stream_duration)
                  : eng.run(job->work.graph, job->work.inputs);
     if (!result.cancelled && job->work.collect) {
       payload = job->work.collect(eng);

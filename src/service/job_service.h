@@ -85,7 +85,6 @@ struct JobWork {
   engine::FlowletGraph graph;
   engine::JobInputs inputs;
   Duration stream_duration = Duration::zero();  // > 0 = streaming job
-  Duration window_every = Duration::zero();
   std::function<std::string(engine::Engine&)> collect;
 
   // Cross-job dataset cache hooks (src/cache/, DESIGN.md §15). `pins` are

@@ -299,7 +299,7 @@ SortStats run_distributed_sort(engine::Engine& engine, const SortSpec& spec) {
   }
 
   stats.job = engine.run(graph, inputs);
-  stats.input_records = stats.job.records_emitted;
+  stats.input_records = stats.job.metrics.counter("engine.records");
   return stats;
 }
 

@@ -85,7 +85,6 @@ std::shared_ptr<StreamTicket> StreamService::start(StreamPipeline pipeline,
   const uint32_t nodes = jobs_.lane_engine(0).cluster().size();
   service::JobWork work = make_work(std::move(pipeline), nodes, stats);
   work.stream_duration = spec.duration;  // zero = bounded batch replay
-  work.window_every = Duration::zero();  // event-time close, no wall flush
 
   std::shared_ptr<service::JobTicket> job =
       jobs_.submit(spec.job, std::move(work));

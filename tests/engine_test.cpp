@@ -233,7 +233,7 @@ TEST(Engine, LoaderToMapDeliversAllRecords) {
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
   const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
-  EXPECT_EQ(result.records_emitted, 400u);
+  EXPECT_EQ(result.metrics.counter("engine.records"), 400u);
 
   const auto got = collected(env.cluster);
   EXPECT_EQ(got.size(), 400u);
@@ -358,7 +358,8 @@ TEST(Engine, ReduceSpillsUnderMemoryPressureAndStaysCorrect) {
   auto red = g.add_reduce("r", [] { return std::make_unique<SizeReduce>(); });
   g.connect(loader, red);
   const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 200));
-  EXPECT_GT(result.spill_bytes, 0u) << "expected the memory budget to force spills";
+  EXPECT_GT(result.metrics.counter("engine.spill_bytes"), 0u)
+      << "expected the memory budget to force spills";
 
   uint64_t total = 0;
   for (const std::string& line : collected(env.cluster)) {
@@ -439,7 +440,7 @@ TEST(Engine, FlowControlStallsLoadersButCompletes) {
   g.connect(loader, sink);
   const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 3000));
   EXPECT_EQ(collected(env.cluster).size(), 6000u);
-  EXPECT_GT(result.flow_control_stalls, 0u);
+  EXPECT_GT(result.metrics.counter("engine.stalls"), 0u);
 }
 
 TEST(Engine, FlowControlDisabledNeverStalls) {
@@ -452,7 +453,7 @@ TEST(Engine, FlowControlDisabledNeverStalls) {
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
   const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 500));
-  EXPECT_EQ(result.flow_control_stalls, 0u);
+  EXPECT_EQ(result.metrics.counter("engine.stalls"), 0u);
   EXPECT_EQ(collected(env.cluster).size(), 1000u);
 }
 
@@ -500,7 +501,7 @@ TEST(Engine, EmptyInputCompletes) {
   g.connect(loader, red);
   JobInputs inputs;  // no splits at all
   const auto result = env.engine.run(g, inputs);
-  EXPECT_EQ(result.records_emitted, 0u);
+  EXPECT_EQ(result.metrics.counter("engine.records"), 0u);
 }
 
 TEST(Engine, EmitDuringStartThrows) {
@@ -517,51 +518,6 @@ TEST(Engine, EmitDuringStartThrows) {
   g.connect(loader, bad);
   g.connect(bad, sink);
   EXPECT_THROW(env.engine.run(g, synthetic_inputs(loader, 1, 1)), std::logic_error);
-}
-
-TEST(Engine, StreamingWindowsFlushPeriodically) {
-  Env env(2);
-  class TickSource : public RateLimitedSource {
-   public:
-    TickSource() : RateLimitedSource(2000, 32) {}
-    void make_record(const InputSplit& split, uint64_t index, std::string* key,
-                     std::string* value) override {
-      *key = "tick" + std::to_string(index % 4);
-      *value = "1";
-      (void)split;
-    }
-  };
-  class SumPartial : public PartialReduceFlowlet {
-   public:
-    void fold(std::string_view, std::string_view value, std::string& acc) override {
-      const uint64_t prev = acc.empty() ? 0 : std::stoull(acc);
-      acc = std::to_string(prev + std::stoull(std::string(value)));
-    }
-  };
-
-  FlowletGraph g;
-  auto source = g.add_loader("src", [] { return std::make_unique<TickSource>(); });
-  auto window = g.add_partial_reduce("win", [] { return std::make_unique<SumPartial>(); });
-  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
-  g.connect(source, window);
-  g.connect(window, sink);
-
-  JobInputs inputs;
-  for (uint32_t n = 0; n < 2; ++n) {
-    InputSplit split;
-    split.preferred_node = n;
-    inputs.add(source, split);
-  }
-  env.engine.run_streaming(g, inputs, millis(400), millis(100));
-
-  // Multiple window flushes => more than one emission per key.
-  const auto got = collected(env.cluster);
-  EXPECT_GT(got.size(), 4u);
-  uint64_t total = 0;
-  for (const std::string& line : got) {
-    total += std::stoull(line.substr(line.find('\t') + 1));
-  }
-  EXPECT_GT(total, 0u);
 }
 
 TEST(Engine, RunningTwoJobsConcurrentlyRejected) {
@@ -813,7 +769,7 @@ TEST(EngineEventLog, FlowControlStallsPauseAndResumeSameTask) {
   const uint64_t begins = log.count(obs::EventKind::kStallBegin);
   ASSERT_GT(begins, 0u) << "watermark too high to trip flow control";
   EXPECT_EQ(begins, log.count(obs::EventKind::kStallEnd));
-  EXPECT_EQ(begins, result.flow_control_stalls);
+  EXPECT_EQ(begins, result.metrics.counter("engine.stalls"));
 
   // Within each (node, loader) stream, stalls pause and resume the SAME
   // task: every StallBegin(tag) is closed by a later StallEnd(tag) before
@@ -1006,7 +962,8 @@ TEST(EngineStealing, FlowControlStallsPauseAndResumeSameTaskAtEightWorkers) {
     const uint64_t begins = log.count(obs::EventKind::kStallBegin);
     ASSERT_GT(begins, 0u) << "rep " << rep << ": watermark too high";
     EXPECT_EQ(begins, log.count(obs::EventKind::kStallEnd)) << "rep " << rep;
-    EXPECT_EQ(begins, result.flow_control_stalls) << "rep " << rep;
+    EXPECT_EQ(begins, result.metrics.counter("engine.stalls"))
+        << "rep " << rep;
 
     for (uint32_t n = 0; n < 2; ++n) {
       std::multiset<int64_t> open;

@@ -163,13 +163,12 @@ TEST(RateLimitedSource, PacesEmissionRate) {
   inputs.add(source, InputSplit{});
 
   Stopwatch watch;
-  const auto result =
-      env.engine.run_streaming(g, inputs, millis(500), Duration::zero());
+  const auto result = env.engine.run_streaming(g, inputs, millis(500));
   const double elapsed = watch.elapsed_seconds();
   EXPECT_GE(elapsed, 0.45);
   // ~2000 rec/s for ~0.5 s => roughly 1000 records (chunked, so allow slack).
-  EXPECT_GT(result.records_emitted, 500u);
-  EXPECT_LT(result.records_emitted, 2500u);
+  EXPECT_GT(result.metrics.counter("engine.records"), 500u);
+  EXPECT_LT(result.metrics.counter("engine.records"), 2500u);
 }
 
 TEST(Streaming, SourcesStopAndJobDrainsCompletely) {
@@ -193,7 +192,8 @@ TEST(Streaming, SourcesStopAndJobDrainsCompletely) {
     split.preferred_node = n;
     inputs.add(source, split);
   }
-  const auto result = env.engine.run_streaming(g, inputs, millis(300), millis(50));
+  const auto result = env.engine.run_streaming(g, inputs, millis(300));
   // Everything emitted was delivered (no records lost at shutdown).
-  EXPECT_EQ(collect(env.cluster).size(), result.records_emitted);
+  EXPECT_EQ(collect(env.cluster).size(),
+            result.metrics.counter("engine.records"));
 }

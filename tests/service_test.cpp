@@ -155,7 +155,7 @@ TEST(JobService, RunsJobAndMergesServiceMetrics) {
 
   // Service observability rides along in the job's metric snapshot.
   const JobResult result = ticket->result();
-  EXPECT_GT(result.records_emitted, 0u);
+  EXPECT_GT(result.metrics.counter("engine.records"), 0u);
   EXPECT_FALSE(result.cancelled);
   EXPECT_GE(result.metrics.counter("service.jobs_submitted"), 1u);
   EXPECT_GE(result.metrics.counter("service.jobs_done"), 1u);

@@ -393,22 +393,6 @@ TEST(BatchCodec, FixedWidthRunsRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
-TEST(BatchCodec, StringRunsRoundTripIncludingEmpties) {
-  const std::vector<std::string> values = {"", "a", "longer-value",
-                                           std::string(300, 'x'), ""};
-  std::vector<std::string_view> views(values.begin(), values.end());
-  ByteBuffer buf;
-  serde::Writer w(buf);
-  serde::put_string_run(w, views);
-
-  serde::Reader r(buf.view());
-  std::vector<std::string_view> out;
-  serde::get_string_run(r, &out);
-  ASSERT_EQ(out.size(), values.size());
-  for (size_t i = 0; i < values.size(); ++i) EXPECT_EQ(out[i], values[i]);
-  EXPECT_TRUE(r.at_end());
-}
-
 TEST(BatchCodec, TruncatedRunsThrow) {
   ByteBuffer buf;
   serde::Writer w(buf);
@@ -417,15 +401,6 @@ TEST(BatchCodec, TruncatedRunsThrow) {
   serde::Reader r(std::string_view(bytes).substr(0, bytes.size() - 5));
   std::vector<uint64_t> out;
   EXPECT_THROW(serde::get_u64_run(r, &out), serde::DecodeError);
-
-  ByteBuffer sbuf;
-  serde::Writer sw(sbuf);
-  std::vector<std::string_view> views = {"hello", "world"};
-  serde::put_string_run(sw, views);
-  const std::string sbytes(sbuf.view());
-  serde::Reader sr(std::string_view(sbytes).substr(0, sbytes.size() - 3));
-  std::vector<std::string_view> sout;
-  EXPECT_THROW(serde::get_string_run(sr, &sout), serde::DecodeError);
 }
 
 TEST(BatchCodec, FramedRunDecodesInChunks) {
@@ -463,6 +438,13 @@ TEST(BatchCodec, RowBlockRoundTripAllColumnTypes) {
                     query::Value::of(i * 1.25),
                     query::Value::of("row-" + std::to_string(i))});
   }
+  // String cells at both ends of the length prefix: an empty string, and a
+  // 300-byte string whose prefix takes two varint bytes. The long one is the
+  // block's last cell.
+  rows.push_back({query::Value::of(int64_t(10)), query::Value::of(0.0),
+                  query::Value::of(std::string())});
+  rows.push_back({query::Value::of(int64_t(11)), query::Value::of(-1.5),
+                  query::Value::of(std::string(300, 'x'))});
   const std::string block = schema.encode_row_block(rows);
   const std::vector<query::Row> decoded = schema.decode_row_block(block);
   ASSERT_EQ(decoded.size(), rows.size());
@@ -472,6 +454,10 @@ TEST(BatchCodec, RowBlockRoundTripAllColumnTypes) {
   std::vector<query::Row> bad = {{query::Value::of(int64_t(1))}};
   EXPECT_THROW(schema.encode_row_block(bad), std::invalid_argument);
   EXPECT_THROW(schema.decode_row_block(block.substr(0, block.size() - 2)),
+               serde::DecodeError);
+  // The last string cell's length prefix (300) runs one byte past the
+  // truncated buffer.
+  EXPECT_THROW(schema.decode_row_block(block.substr(0, block.size() - 1)),
                serde::DecodeError);
 }
 
