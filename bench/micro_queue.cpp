@@ -128,10 +128,9 @@ BENCHMARK(BM_SchedulerThroughput)
 
 // --- fused vs unfused pipeline dispatch --------------------------------------
 //
-// The same WordCount job through the shape-preserving IR lowering (three
-// flowlets, loader->splitter bins crossing the scheduler) and through the
-// standard pass pipeline (loader+splitter fused into one task body, those
-// bins gone). Identical input and output; the delta is pure per-bin dispatch
+// The same WordCount job without the splitter's fusion opt-in (three
+// flowlets, loader->splitter bins crossing the scheduler) and with it
+// (ir::optimize fuses loader+splitter into one task body, those bins gone). Identical input and output; the delta is pure per-bin dispatch
 // overhead, which is what fusion exists to remove. CI's bench-smoke extracts
 // the pair from the JSON artifact as the fused-pipeline regression signal.
 

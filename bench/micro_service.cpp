@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "ir/lower.h"
+#include "ir/passes.h"
 #include "service/job_service.h"
 
 using namespace hamr;
@@ -35,16 +37,20 @@ class DiscardSink : public MapFlowlet {
 };
 
 JobWork tiny_work(uint64_t records) {
-  JobWork w;
+  ir::Graph graph;
   const auto loader =
-      w.graph.add_loader("load", [] { return std::make_unique<TinyLoader>(); });
+      graph.add_source("load", [] { return std::make_unique<TinyLoader>(); });
   const auto sink =
-      w.graph.add_map("sink", [] { return std::make_unique<DiscardSink>(); });
-  w.graph.connect(loader, sink);
+      graph.add_sink("sink", [] { return std::make_unique<DiscardSink>(); });
+  graph.connect(loader, sink);
   InputSplit split;
   split.user_tag = records;
   split.preferred_node = 0;
-  w.inputs.add(loader, split);
+  graph.node(loader).splits.push_back(split);
+  ir::Lowered job = ir::lower(ir::optimize(std::move(graph)));
+  JobWork w;
+  w.graph = std::move(job.graph);
+  w.inputs = std::move(job.inputs);
   return w;
 }
 

@@ -25,6 +25,8 @@
 
 #include "cluster/cluster.h"
 #include "common/flags.h"
+#include "ir/lower.h"
+#include "ir/passes.h"
 #include "net/router.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
@@ -92,20 +94,25 @@ template <typename Loader>
 JobWork counting_work(uint32_t nodes, uint64_t per_node) {
   auto keys = std::make_shared<std::atomic<uint64_t>>(0);
   auto records = std::make_shared<std::atomic<uint64_t>>(0);
-  JobWork w;
+  ir::Graph graph;
   const auto loader =
-      w.graph.add_loader("load", [] { return std::make_unique<Loader>(); });
-  const auto counts = w.graph.add_reduce("count", [keys, records] {
+      graph.add_source("load", [] { return std::make_unique<Loader>(); });
+  const auto counts = graph.add_reduce("count", [keys, records] {
     return std::make_unique<CountReduce>(keys, records);
   });
-  w.graph.connect(loader, counts);
+  graph.node(counts).effect = true;  // reports through `keys` and `records`
+  graph.connect(loader, counts);
   for (uint32_t n = 0; n < nodes; ++n) {
     InputSplit split;
     split.offset = n * per_node;
     split.user_tag = per_node;
     split.preferred_node = n;
-    w.inputs.add(loader, split);
+    graph.node(loader).splits.push_back(split);
   }
+  ir::Lowered job = ir::lower(ir::optimize(std::move(graph)));
+  JobWork w;
+  w.graph = std::move(job.graph);
+  w.inputs = std::move(job.inputs);
   w.collect = [keys, records](Engine&) {
     return "keys=" + std::to_string(keys->load()) +
            " records=" + std::to_string(records->load());

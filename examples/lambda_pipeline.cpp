@@ -6,8 +6,9 @@
 // Speed layer : a streaming job counts words over a live source.
 // Serving     : the driver merges both views into a combined count table.
 //
-// The two layers use the SAME flowlet classes on the SAME engine - only the
-// loader differs (TextLoader vs RateLimitedSource).
+// The two layers are ONE job builder (word_count) on the SAME engine, each
+// compiled through ir::lower(ir::optimize(...)) - only the source passed in
+// differs (TextLoader over the history files vs a RateLimitedSource).
 //
 // Run:  ./examples/lambda_pipeline [--seconds=2]
 #include <cstdio>
@@ -18,6 +19,8 @@
 #include "common/random.h"
 #include "engine/loaders.h"
 #include "gen/generators.h"
+#include "ir/lower.h"
+#include "ir/passes.h"
 
 using namespace hamr;
 
@@ -48,6 +51,25 @@ class LiveSource : public engine::RateLimitedSource {
   Zipf zipf_;
 };
 
+// The job both layers run: source -> Tokenize -> Count, with the counts
+// written under `out_prefix`.
+ir::Graph word_count(std::string source_name, engine::FlowletFactory source,
+                     std::vector<engine::InputSplit> splits,
+                     const std::string& out_prefix) {
+  ir::Graph graph;
+  const auto loader = graph.add_source(std::move(source_name), std::move(source));
+  graph.node(loader).splits = std::move(splits);
+  const auto tokenize =
+      graph.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
+  const auto count = graph.add_combine("Count", [out_prefix] {
+    return std::make_unique<apps::CountSink>(out_prefix);
+  });
+  graph.node(count).effect = true;  // writes the layer's count files
+  graph.connect(loader, tokenize, engine::local_edge());
+  graph.connect(tokenize, count);
+  return graph;
+}
+
 std::map<std::string, uint64_t> layer_counts(apps::BenchEnv& env,
                                              const std::string& prefix) {
   return apps::to_counts(apps::collect_local_kv(*env.cluster, prefix));
@@ -75,42 +97,23 @@ int main(int argc, char** argv) {
   }
   const apps::StagedInput history = apps::stage_input(env, "history", shards);
 
-  engine::FlowletGraph batch;
-  const auto batch_loader = batch.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
-  const auto batch_tokenize =
-      batch.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
-  const auto batch_count = batch.add_partial_reduce(
-      "Count", [] { return std::make_unique<apps::CountSink>("out/lambda_batch/"); });
-  batch.connect(batch_loader, batch_tokenize, engine::local_edge());
-  batch.connect(batch_tokenize, batch_count);
-
-  const auto batch_result =
-      env.engine->run(batch, apps::inputs_for(batch_loader, history));
+  const auto batch_result = apps::run_ir(
+      env, word_count("TextLoader",
+                      [] { return std::make_unique<engine::TextLoader>(); },
+                      history.splits, "out/lambda_batch/"));
   std::printf("batch layer: %.1f MB of history in %.3f s\n",
               static_cast<double>(history.total_bytes) / 1e6,
               batch_result.wall_seconds);
 
-  // ---- Speed layer: same flowlets, streaming source, same engine. ----
-  engine::FlowletGraph speed;
-  const auto live = speed.add_loader(
-      "LiveSource", [] { return std::make_unique<LiveSource>(); });
-  const auto speed_tokenize =
-      speed.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
-  const auto speed_count = speed.add_partial_reduce(
-      "Count", [] { return std::make_unique<apps::CountSink>("out/lambda_speed/"); });
-  speed.connect(live, speed_tokenize, engine::local_edge());
-  speed.connect(speed_tokenize, speed_count);
-
-  engine::JobInputs live_inputs;
-  for (uint32_t n = 0; n < env.nodes(); ++n) {
-    engine::InputSplit split;
-    split.preferred_node = n;
-    live_inputs.add(live, split);
-  }
+  // ---- Speed layer: same job, streaming source, same engine. ----
+  std::vector<engine::InputSplit> live_splits(env.nodes());
+  for (uint32_t n = 0; n < env.nodes(); ++n) live_splits[n].preferred_node = n;
+  const ir::Lowered speed = ir::lower(ir::optimize(
+      word_count("LiveSource", [] { return std::make_unique<LiveSource>(); },
+                 std::move(live_splits), "out/lambda_speed/")));
   const double seconds = flags.get_double("seconds", 2);
   const auto speed_result =
-      env.engine->run_streaming(speed, live_inputs, from_seconds(seconds));
+      env.engine->run_streaming(speed.graph, speed.inputs, from_seconds(seconds));
   std::printf("speed layer: streamed %.1f s in %.3f s wall\n", seconds,
               speed_result.wall_seconds);
 

@@ -3,7 +3,8 @@
 // Demonstrates the essentials of the flowlet API:
 //   1. bring up a (simulated) cluster and deploy an Engine on it;
 //   2. define flowlets: a built-in TextLoader, a Map, and a PartialReduce;
-//   3. wire them into a DAG and submit the job with input splits;
+//   3. wire them into an ir::Graph, attach the input splits to the source,
+//      and compile and run it (apps::run_ir: ir::lower(ir::optimize(g)));
 //   4. read the results from the nodes' local output files.
 //
 // Run:  ./examples/quickstart [--nodes=4] [--bytes=2000000]
@@ -12,7 +13,6 @@
 #include "apps/common.h"
 #include "apps/counting.h"
 #include "common/flags.h"
-#include "engine/loaders.h"
 #include "gen/generators.h"
 
 using namespace hamr;
@@ -55,18 +55,18 @@ int main(int argc, char** argv) {
   // 3. Build the DAG: loader -> tokenize -> count (partial reduce).
   //    The loader edge is local (data is processed where its disk lives);
   //    the counting edge partitions by word across the cluster.
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = apps::add_text_source(graph, "TextLoader", input);
   const auto tokenize =
       graph.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
-  const auto count = graph.add_partial_reduce(
+  const auto count = graph.add_combine(
       "Count", [] { return std::make_unique<apps::CountSink>("out/quickstart/"); });
+  graph.node(count).effect = true;  // writes out/quickstart/
   graph.connect(loader, tokenize, engine::local_edge());
   graph.connect(tokenize, count);
 
   // 4. Run and inspect.
-  const engine::JobResult result = env.engine->run(graph, apps::inputs_for(loader, input));
+  const engine::JobResult result = apps::run_ir(env, std::move(graph));
   const obs::MetricsSnapshot& m = result.metrics;
   std::printf("processed %.1f MB in %.3f s (%llu records, %llu bins, "
               "%llu flow-control stalls)\n",

@@ -5,7 +5,6 @@
 
 #include "apps/counting.h"
 #include "apps/movie_vectors.h"
-#include "engine/loaders.h"
 
 namespace hamr::apps::classification {
 
@@ -88,21 +87,22 @@ class ClassifyReducer : public mapreduce::Reducer {
 }  // namespace
 
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) {
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = add_text_source(graph, "TextLoader", input);
   const auto classify = graph.add_map("ClassifyMap", [&params] {
     return std::make_unique<ClassifyMap>(params.centroid_lines);
   });
-  const auto counts = graph.add_partial_reduce("CountSink", [] {
+  graph.node(classify).effect = true;  // writes out/classification/cluster*
+  const auto counts = graph.add_combine("CountSink", [] {
     return std::make_unique<CountSink>("out/classification/counts_");
   });
+  graph.node(counts).effect = true;
   graph.connect(loader, classify, engine::local_edge());
   graph.connect(classify, counts);
 
   RunInfo run;
   remove_local_files(*env.cluster, "out/classification/cluster");
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = run_ir(env, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }

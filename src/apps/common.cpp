@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <charconv>
 
+#include "engine/loaders.h"
+#include "ir/lower.h"
+#include "ir/passes.h"
+
 namespace hamr::apps {
 
 BenchEnv BenchEnv::make(cluster::ClusterConfig cluster_cfg,
@@ -74,10 +78,18 @@ StagedInput stage_input(BenchEnv& env, const std::string& name,
   return staged;
 }
 
-engine::JobInputs inputs_for(uint32_t loader, const StagedInput& staged) {
-  engine::JobInputs inputs;
-  for (const auto& split : staged.splits) inputs.add(loader, split);
-  return inputs;
+ir::NodeId add_text_source(ir::Graph& graph, std::string name,
+                           const StagedInput& staged, ir::TypeTag out) {
+  const ir::NodeId loader = graph.add_source(
+      std::move(name), [] { return std::make_unique<engine::TextLoader>(); },
+      std::move(out));
+  graph.node(loader).splits = staged.splits;
+  return loader;
+}
+
+engine::JobResult run_ir(BenchEnv& env, ir::Graph graph) {
+  const ir::Lowered lowered = ir::lower(ir::optimize(std::move(graph)));
+  return env.engine->run(lowered.graph, lowered.inputs);
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include "cluster/cluster.h"
 #include "dfs/mini_dfs.h"
 #include "engine/engine.h"
+#include "ir/ir.h"
 #include "mapreduce/job_runner.h"
 
 namespace hamr::apps {
@@ -64,8 +65,14 @@ StagedInput stage_input(BenchEnv& env, const std::string& name,
                         const std::vector<std::string>& shards,
                         uint64_t split_target_bytes = 1 << 20);
 
-// Convenience JobInputs for a single-loader graph.
-engine::JobInputs inputs_for(uint32_t loader, const StagedInput& staged);
+// Adds a TextLoader source named `name` that reads the staged splits.
+ir::NodeId add_text_source(ir::Graph& graph, std::string name,
+                           const StagedInput& staged,
+                           ir::TypeTag out = {"", "line"});
+
+// Compiles the job the one way every job is compiled -
+// ir::lower(ir::optimize(graph)) - and runs it on the env's engine.
+engine::JobResult run_ir(BenchEnv& env, ir::Graph graph);
 
 // Merges "key\tvalue" lines of every node-local file with the given prefix.
 // Duplicate keys keep the last value seen (apps with unique keys per node).

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "apps/counting.h"
-#include "engine/loaders.h"
 
 namespace hamr::apps::histograms {
 
@@ -87,21 +86,21 @@ std::string movie_bucket(const std::vector<uint32_t>& ratings) {
 }
 
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, Kind kind, bool combine) {
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = add_text_source(graph, "TextLoader", input);
   const auto map = graph.add_map(
       "HistogramMap", [kind] { return std::make_unique<HistogramMap>(kind); });
-  const auto count = graph.add_partial_reduce("CountSink", [kind] {
+  const auto count = graph.add_combine("CountSink", [kind] {
     return std::make_unique<CountSink>(out_prefix(kind));
   });
+  graph.node(count).effect = true;
+  // Table 3's combiner: place_combiner puts it on the shuffle edge.
+  graph.node(count).combinable = combine;
   graph.connect(loader, map, engine::local_edge());
-  engine::EdgeOptions options;
-  options.combine = combine;
-  graph.connect(map, count, options);
+  graph.connect(map, count);
 
   RunInfo info;
-  info.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  info.engine_result = run_ir(env, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

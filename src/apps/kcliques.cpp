@@ -6,8 +6,6 @@
 #include <functional>
 #include <mutex>
 
-#include "engine/loaders.h"
-
 namespace hamr::apps::kcliques {
 
 namespace {
@@ -250,19 +248,19 @@ class ExtendReducer : public mapreduce::Reducer {
 
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) {
   env.engine->kv().clear_namespace("kc/");
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "KCliquesLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = add_text_source(graph, "KCliquesLoader", input);
   const auto keymap =
       graph.add_map("EdgeKeyMap", [] { return std::make_unique<EdgeKeyMap>(); });
   const auto builder = graph.add_reduce(
       "GraphBuilder", [] { return std::make_unique<GraphBuilder>(); });
+  graph.node(builder).effect = true;  // stores adjacency in the shared KV
   const auto gen2 = graph.add_map(
       "TwoCliquesGen", [] { return std::make_unique<TwoCliquesGen>(); });
   graph.connect(loader, keymap, engine::local_edge());
   graph.connect(keymap, builder);
   graph.connect(builder, gen2);
-  uint32_t prev = gen2;
+  ir::NodeId prev = gen2;
   for (uint32_t level = 3; level <= params.k; ++level) {
     const auto verify = graph.add_map(
         "Verify" + std::to_string(level), [level, &params] {
@@ -271,9 +269,10 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) 
     graph.connect(prev, verify);
     prev = verify;
   }
+  graph.node(prev).effect = true;  // the last level writes out/kcliques/
 
   RunInfo run;
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = run_ir(env, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }

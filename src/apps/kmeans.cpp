@@ -7,7 +7,6 @@
 
 #include "apps/movie_vectors.h"
 #include "cache/scan_loader.h"
-#include "engine/loaders.h"
 
 namespace hamr::apps::kmeans {
 
@@ -299,15 +298,16 @@ Params make_params(const std::vector<std::string>& shards, uint32_t k) {
 
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
                  bool ship_full_vectors) {
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = add_text_source(graph, "TextLoader", input);
   const auto update = graph.add_map(
       "CentroidUpdate", [] { return std::make_unique<CentroidUpdate>(); });
+  graph.node(update).effect = true;  // writes the new centroids
   if (ship_full_vectors) {
     const auto gen = graph.add_map("ClusterGenFull", [&params] {
       return std::make_unique<ClusterGenFull>(params.centroid_lines);
     });
+    graph.node(gen).effect = true;  // writes out/kmeans/cluster*
     const auto newc = graph.add_reduce(
         "NewCentroidGenFull", [] { return std::make_unique<NewCentroidGenFull>(); });
     graph.connect(loader, gen, engine::local_edge());
@@ -317,6 +317,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
     const auto gen = graph.add_map("ClusterGen", [&params] {
       return std::make_unique<ClusterGen>(params.centroid_lines);
     });
+    graph.node(gen).effect = true;  // writes out/kmeans/cluster*
     const auto newc = graph.add_reduce(
         "NewCentroidGen", [] { return std::make_unique<NewCentroidGen>(); });
     const auto info_get = graph.add_map("NewCentroidInfoGet", [&input] {
@@ -330,7 +331,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
 
   RunInfo run;
   remove_local_files(*env.cluster, "out/kmeans/cluster");
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = run_ir(env, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }
@@ -351,23 +352,22 @@ IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
             ? env.dataset_cache->pin(kVectorsDataset, input.total_bytes)
             : nullptr;
 
-    engine::FlowletGraph graph;
-    engine::JobInputs inputs;
+    ir::Graph graph;
     std::shared_ptr<cache::DatasetWriter> writer;
     const auto gen = graph.add_map("ClusterGen", [&centroid_lines] {
       return std::make_unique<ClusterGen>(centroid_lines);
     });
+    graph.node(gen).effect = true;  // writes out/kmeans/cluster*
     if (vectors) {
-      const auto loader = graph.add_loader("VectorCacheScan", [vectors] {
+      const auto loader = graph.add_source("VectorCacheScan", [vectors] {
         return std::make_unique<cache::CachedScanLoader>(vectors);
       });
-      cache::add_scan_splits(&inputs, loader, *vectors);
+      graph.node(loader).splits = cache::scan_splits(*vectors);
       // Shard n mirrors node n's file shard; the scan runs there, so the
       // edge stays local without any partitioner.
       graph.connect(loader, gen, engine::local_edge());
     } else {
-      const auto loader = graph.add_loader(
-          "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+      const auto loader = add_text_source(graph, "TextLoader", input);
       engine::EdgeOptions edge = engine::local_edge();
       if (use_cache) {
         cache::PublishOptions options;
@@ -376,7 +376,6 @@ IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
         edge = cache::publish_tap(edge, writer);
       }
       graph.connect(loader, gen, edge);
-      inputs = inputs_for(loader, input);
     }
     const auto newc = graph.add_reduce(
         "NewCentroidGen", [] { return std::make_unique<NewCentroidGen>(); });
@@ -385,12 +384,13 @@ IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
     });
     const auto update = graph.add_map(
         "CentroidUpdate", [] { return std::make_unique<CentroidUpdate>(); });
+    graph.node(update).effect = true;  // writes the new centroids
     graph.connect(gen, newc);
     graph.connect(newc, info_get);
     graph.connect(info_get, update);
 
     remove_local_files(*env.cluster, "out/kmeans/cluster");
-    run.engine_results.push_back(env.engine->run(graph, inputs));
+    run.engine_results.push_back(run_ir(env, std::move(graph)));
     if (writer) writer->commit();
     run.final_centroids = hamr_new_centroids(env);
     centroid_lines.clear();

@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "apps/counting.h"
-#include "engine/loaders.h"
 
 namespace hamr::apps::naive_bayes {
 
@@ -139,22 +138,22 @@ std::string encode_vector(const std::map<std::string, uint64_t>& vec) {
 }
 
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input) {
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
-      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  ir::Graph graph;
+  const auto loader = add_text_source(graph, "TextLoader", input);
   const auto index = graph.add_map(
       "IndexInstances", [] { return std::make_unique<IndexInstancesMapper>(); });
-  const auto vecsum = graph.add_partial_reduce(
+  const auto vecsum = graph.add_combine(
       "VectorSum", [] { return std::make_unique<VectorSumReducer>(); });
-  const auto weightsum = graph.add_partial_reduce("WeightSum", [] {
+  const auto weightsum = graph.add_combine("WeightSum", [] {
     return std::make_unique<CountSink>("out/naive_bayes/");
   });
+  graph.node(weightsum).effect = true;
   graph.connect(loader, index, engine::local_edge());
   graph.connect(index, vecsum);
   graph.connect(vecsum, weightsum);
 
   RunInfo info;
-  info.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  info.engine_result = run_ir(env, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

@@ -9,8 +9,6 @@
 
 #include "cache/scan_loader.h"
 #include "engine/loaders.h"
-#include "ir/lower.h"
-#include "ir/passes.h"
 
 namespace hamr::apps::pagerank {
 
@@ -315,15 +313,9 @@ void append_merge_tail(ir::Graph& graph, ir::NodeId head, const Params& params) 
   const auto cont = graph.add_map(
       "ContMap", [] { return std::make_unique<ContMap>(); }, {"page", "delta"});
   graph.node(cont).effect = true;  // writes out/pagerank/delta_node<id>
+  graph.node(cont).fusible = true;
   graph.connect(head, merge);
-  graph.connect(merge, cont, ir::local_attrs());
-}
-
-// Optimizes (operator fusion et al.) and lowers an iteration chain, folding
-// any splits already attached to IR source nodes into the job inputs.
-engine::JobResult run_chain(BenchEnv& env, ir::Graph graph) {
-  const ir::Lowered lowered = ir::lower(ir::optimize(std::move(graph)));
-  return env.engine->run(lowered.graph, lowered.inputs);
+  graph.connect(merge, cont, engine::local_edge());
 }
 
 double collect_max_delta(BenchEnv& env) {
@@ -398,13 +390,12 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
     cache::PublishOptions options;
     options.key_partitioned = true;
     writer = dcache.begin(kAdjDataset, options);
-    const auto loader = graph.add_source(
-        "EdgeFileLoader", [] { return std::make_unique<engine::TextLoader>(); },
-        {"", "edge-line"});
-    graph.node(loader).splits = input.splits;
+    const auto loader =
+        add_text_source(graph, "EdgeFileLoader", input, {"", "edge-line"});
     const auto parse = graph.add_map(
         "EdgeMap", [] { return std::make_unique<EdgeMap>(); },
         {"", "edge-line"}, {"page", "page"});
+    graph.node(parse).fusible = true;
     const auto join = graph.add_reduce(
         "HashJoinRed",
         [&params, writer] {
@@ -412,7 +403,7 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
         },
         {"page", "page"}, {"page", "contrib8"});
     graph.node(join).effect = true;  // publishes adjacency to the cache
-    graph.connect(loader, parse, ir::local_attrs());
+    graph.connect(loader, parse, engine::local_edge());
     graph.connect(parse, join);
     head = join;
   } else {
@@ -420,27 +411,20 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
         "AdjCacheScan",
         [adj] { return std::make_unique<cache::CachedScanLoader>(adj); },
         {"page", "adj"});
-    {
-      engine::JobInputs scan_inputs;
-      cache::add_scan_splits(&scan_inputs, loader, *adj);
-      graph.node(loader).splits = scan_inputs.splits.at(loader);
-    }
+    graph.node(loader).splits = cache::scan_splits(*adj);
     const auto contrib = graph.add_map(
         "ContribMap",
         [&params] { return std::make_unique<ContribMap>(params.num_pages); },
         {"page", "adj"}, {"page", "contrib8"});
+    graph.node(contrib).fusible = true;
     // Key-partitioned dataset + per-shard placement => shuffle-free edge,
     // which is exactly what lets fuse_maps collapse scan+contrib.
-    const engine::EdgeOptions aligned = cache::aligned_edge(*adj);
-    ir::EdgeAttrs attrs;
-    attrs.local = aligned.local;
-    attrs.partitioner = aligned.partitioner;
-    graph.connect(loader, contrib, std::move(attrs));
+    graph.connect(loader, contrib, cache::aligned_edge(*adj));
     head = contrib;
   }
   append_merge_tail(graph, head, params);
 
-  engine::JobResult result = run_chain(env, std::move(graph));
+  engine::JobResult result = run_ir(env, std::move(graph));
   // Publish only after the job ran to completion; a run that threw leaves
   // the writer uncommitted and the cache untouched.
   if (writer) writer->commit();
@@ -454,19 +438,18 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
   ir::Graph graph;
   ir::NodeId head;
   if (iter == 0 || reload) {
-    const auto loader = graph.add_source(
-        "EdgeFileLoader", [] { return std::make_unique<engine::TextLoader>(); },
-        {"", "edge-line"});
-    graph.node(loader).splits = input.splits;
+    const auto loader =
+        add_text_source(graph, "EdgeFileLoader", input, {"", "edge-line"});
     const auto parse = graph.add_map(
         "EdgeMap", [] { return std::make_unique<EdgeMap>(); },
         {"", "edge-line"}, {"page", "page"});
+    graph.node(parse).fusible = true;
     const auto join = graph.add_reduce(
         "HashJoinRed",
         [&params] { return std::make_unique<HashJoinRed>(params.num_pages); },
         {"page", "page"}, {"page", "contrib8"});
     graph.node(join).effect = true;  // stores adjacency in the shared KV
-    graph.connect(loader, parse, ir::local_attrs());
+    graph.connect(loader, parse, engine::local_edge());
     graph.connect(parse, join);
     head = join;
   } else {
@@ -483,7 +466,7 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
     head = loader;
   }
   append_merge_tail(graph, head, params);
-  return run_chain(env, std::move(graph));
+  return run_ir(env, std::move(graph));
 }
 
 RunInfo run_baseline(BenchEnv& env, const StagedInput& input, const Params& params) {

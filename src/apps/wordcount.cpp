@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "engine/loaders.h"
-#include "ir/passes.h"
 
 namespace hamr::apps::wordcount {
 
@@ -102,7 +101,7 @@ class WcReducer : public mapreduce::Reducer {
 
 }  // namespace
 
-ir::Graph build_ir(bool combine, bool use_full_reduce) {
+ir::Graph build_ir(bool combine, bool use_full_reduce, bool fused) {
   ir::Graph graph;
   const auto loader = graph.add_source(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); },
@@ -110,7 +109,8 @@ ir::Graph build_ir(bool combine, bool use_full_reduce) {
   const auto split = graph.add_map(
       "Splitter", [] { return std::make_unique<Splitter>(); }, {"", "line"},
       {"word", "count"});
-  graph.connect(loader, split, ir::local_attrs());
+  graph.node(split).fusible = fused;
+  graph.connect(loader, split, engine::local_edge());
   if (use_full_reduce) {
     const auto count = graph.add_reduce(
         "CountReducer", [] { return std::make_unique<CountReducer>(); },
@@ -128,40 +128,12 @@ ir::Graph build_ir(bool combine, bool use_full_reduce) {
   return graph;
 }
 
-engine::FlowletGraph build_graph(uint32_t* loader_out, bool combine,
-                                 bool use_full_reduce) {
-  ir::Lowered lowered = ir::lower(
-      ir::PassPipeline::no_fusion().run(build_ir(combine, use_full_reduce)));
-  *loader_out = lowered.flowlet_of[0];
-  return std::move(lowered.graph);
-}
-
-ir::Lowered build_fused(uint32_t* loader_out, bool combine,
-                        bool use_full_reduce) {
-  const ir::Graph optimized =
-      ir::optimize(build_ir(combine, use_full_reduce));
-  ir::Lowered lowered = ir::lower(optimized);
-  *loader_out = 0;
-  for (const ir::Node& node : optimized.nodes) {
-    if (node.kind == ir::NodeKind::kSource) {
-      *loader_out = lowered.flowlet_of[node.id];
-    }
-  }
-  return lowered;
-}
-
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, bool combine,
                  bool use_full_reduce, bool fused) {
+  ir::Graph graph = build_ir(combine, use_full_reduce, fused);
+  graph.node(0).splits = input.splits;  // node 0 is the TextLoader
   RunInfo info;
-  uint32_t loader = 0;
-  if (fused) {
-    ir::Lowered lowered = build_fused(&loader, combine, use_full_reduce);
-    info.engine_result =
-        env.engine->run(lowered.graph, inputs_for(loader, input));
-  } else {
-    engine::FlowletGraph graph = build_graph(&loader, combine, use_full_reduce);
-    info.engine_result = env.engine->run(graph, inputs_for(loader, input));
-  }
+  info.engine_result = run_ir(env, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

@@ -12,7 +12,6 @@
 
 #include "apps/common.h"
 #include "ir/ir.h"
-#include "ir/lower.h"
 
 namespace hamr::apps::wordcount {
 
@@ -22,26 +21,17 @@ struct RunInfo {
   mapreduce::MrResult baseline_result;  // baseline runs only
 };
 
-// The job as IR: source TextLoader -> map Splitter -> combine Counter (or
-// reduce CountReducer under ablation A2). `combine` opts the Counter into
-// sender-side combining (Table 3) - the place_combiner pass turns it into
-// the combine edge.
-ir::Graph build_ir(bool combine = false, bool use_full_reduce = false);
+// The job as IR: source TextLoader (node 0) -> map Splitter -> combine
+// Counter (or reduce CountReducer under ablation A2). `combine` opts the
+// Counter into sender-side combining (Table 3) - the place_combiner pass
+// turns it into the combine edge. `fused` opts the Splitter into fusion, so
+// ir::optimize collapses loader+splitter into one task body (two flowlets,
+// byte-identical output). Unfused, the flowlet ids stay loader=0,
+// splitter=1, count=2, which the chaos suite's pinned crash points rely on.
+ir::Graph build_ir(bool combine = false, bool use_full_reduce = false,
+                   bool fused = false);
 
-// Builds the HAMR flowlet graph through ir::lower with the shape-preserving
-// pipeline (no fusion): flowlet ids stay loader=0, splitter=1, count=2,
-// which the chaos suite's pinned crash points rely on. Exposed for
-// tests/ablations that want to tweak it.
-engine::FlowletGraph build_graph(uint32_t* loader_out, bool combine = false,
-                                 bool use_full_reduce = false);
-
-// Fused lowering: the standard pass pipeline collapses loader+splitter into
-// one task body (two flowlets total), byte-identical output.
-ir::Lowered build_fused(uint32_t* loader_out, bool combine = false,
-                        bool use_full_reduce = false);
-
-// Runs on HAMR; output in node-local "out/wordcount/" files. `fused` runs
-// the fused lowering instead of the id-preserving one.
+// Runs on HAMR; output in node-local "out/wordcount/" files.
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, bool combine = false,
                  bool use_full_reduce = false, bool fused = false);
 

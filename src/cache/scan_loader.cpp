@@ -24,8 +24,8 @@ bool CachedScanLoader::load_chunk(const engine::InputSplit& split,
   return emitted == records_per_chunk_;
 }
 
-void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
-                     const Dataset& dataset) {
+std::vector<engine::InputSplit> scan_splits(const Dataset& dataset) {
+  std::vector<engine::InputSplit> splits;
   for (uint32_t n = 0; n < dataset.nodes(); ++n) {
     engine::InputSplit split;
     split.path = "cache://" + dataset.name();
@@ -33,8 +33,9 @@ void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
     split.length = dataset.shard(n).bytes;
     split.preferred_node = n;
     split.user_tag = n;
-    inputs->add(loader, split);
+    splits.push_back(std::move(split));
   }
+  return splits;
 }
 
 engine::EdgeOptions aligned_edge(const Dataset& dataset) {

@@ -23,7 +23,7 @@
 
 namespace hamr::cache {
 
-// Loader over a pinned dataset: one split per node (see add_scan_splits),
+// Loader over a pinned dataset: one split per node (see scan_splits),
 // each walking that node's shard. The pin handle is held by the loader, so
 // the dataset stays resident for the life of the job even if it is
 // invalidated or evicted from the cache concurrently.
@@ -42,12 +42,12 @@ class CachedScanLoader : public engine::LoaderFlowlet {
   const uint64_t records_per_chunk_;
 };
 
-// Appends one synthetic split per dataset shard: path "cache://<name>",
-// preferred_node = shard index, user_tag = shard index. Placement
-// inheritance: each shard is scanned on the node where its records already
-// reside, so a cached scan moves zero bytes before the first edge.
-void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
-                     const Dataset& dataset);
+// The splits of a source node scanning `dataset`: one synthetic split per
+// shard, path "cache://<name>", preferred_node = shard index, user_tag =
+// shard index. Placement inheritance: each shard is scanned on the node
+// where its records already reside, so a cached scan moves zero bytes before
+// the first edge.
+std::vector<engine::InputSplit> scan_splits(const Dataset& dataset);
 
 // Edge options for consuming a cached scan downstream with the shuffle
 // skipped when it is provably safe: key_partitioned datasets scan each key

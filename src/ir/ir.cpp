@@ -76,7 +76,7 @@ NodeId Graph::add_sink(std::string name, engine::FlowletFactory factory,
   return id;
 }
 
-EdgeId Graph::connect(NodeId src, NodeId dst, EdgeAttrs attrs) {
+EdgeId Graph::connect(NodeId src, NodeId dst, engine::EdgeOptions options) {
   if (src >= nodes.size() || dst >= nodes.size()) {
     throw std::invalid_argument("ir: connect with unknown node id");
   }
@@ -84,7 +84,7 @@ EdgeId Graph::connect(NodeId src, NodeId dst, EdgeAttrs attrs) {
   edge.id = static_cast<EdgeId>(edges.size());
   edge.src = src;
   edge.dst = dst;
-  edge.attrs = std::move(attrs);
+  edge.options = std::move(options);
   edges.push_back(std::move(edge));
   nodes[src].out_edges.push_back(edges.back().id);
   nodes[dst].in_edges.push_back(edges.back().id);
@@ -197,13 +197,13 @@ void verify(const Graph& graph, const std::string& context) {
   for (const Edge& edge : graph.edges) {
     const Node& src = graph.node(edge.src);
     const Node& dst = graph.node(edge.dst);
-    if (edge.attrs.combine) {
+    if (edge.options.combine) {
       if (dst.kind != NodeKind::kCombine) {
         fail(context, "combine " + edge_ref(graph, edge) +
                           " targets a non-combine node: sender-side combining "
                           "needs the destination's fold()");
       }
-      if (edge.attrs.tap) {
+      if (edge.options.tap) {
         fail(context,
              "tap on combine " + edge_ref(graph, edge) +
                  ": combined records fold before routing, so a tap would "
@@ -235,7 +235,7 @@ std::string dump(const Graph& graph) {
     }
     if (node.effect) out << " effect";
     if (node.combinable) out << " combinable";
-    if (!node.fusible) out << " nofuse";
+    if (node.fusible) out << " fusible";
     if (!node.splits.empty()) out << " splits=" << node.splits.size();
     out << "\n";
   }
@@ -246,10 +246,10 @@ std::string dump(const Graph& graph) {
       flags += flags.empty() ? "" : ",";
       flags += name;
     };
-    if (edge.attrs.local) flag("local");
-    if (edge.attrs.combine) flag("combine");
-    if (edge.attrs.partitioner) flag("partitioner");
-    if (edge.attrs.tap) flag("tap");
+    if (edge.options.local) flag("local");
+    if (edge.options.combine) flag("combine");
+    if (edge.options.partitioner) flag("partitioner");
+    if (edge.options.tap) flag("tap");
     if (!flags.empty()) out << " [" << flags << "]";
     out << "\n";
   }

@@ -1,11 +1,12 @@
 // Typed flowlet-graph IR (DESIGN.md §16).
 //
-// Every front-end in the repo - the query planner, the hand-built apps, the
-// sort driver - ultimately runs a DAG of engine flowlets. This IR is the
-// shared layer between "what the job computes" and the engine graph that
-// computes it: front-ends build an ir::Graph, a pass pipeline optimizes it
-// (operator fusion, combiner placement, dead-flowlet elimination), and
-// ir::lower() emits the engine::FlowletGraph + JobInputs the runtime executes.
+// Every job in the repo - the apps, the query planner, the sort driver, the
+// stream service and the examples - is built as an ir::Graph and compiled
+// one way: ir::lower(ir::optimize(graph)). optimize() runs the four passes
+// of passes.h (combiner placement, two opt-in fusions, dead-flowlet
+// elimination); lower() emits the engine::FlowletGraph + JobInputs the
+// runtime executes. Only src/engine/, src/ir/ and tests wire FlowletGraph
+// directly.
 //
 // Five node kinds, mapping onto the engine's four flowlet kinds:
 //
@@ -17,20 +18,19 @@
 //
 // Nodes carry key/value *type tags* - free-form strings like ("word",
 // "count") - checked across every edge by verify(); an empty component is a
-// wildcard. Edges mirror engine::EdgeOptions (combine / local / partitioner /
-// tap) so anything expressible against the raw graph API stays expressible
-// here. The IR is an open struct on purpose: passes are plain functions that
-// read one Graph and build another, and verify() re-establishes every
-// invariant between passes.
+// wildcard. Edges hold engine::EdgeOptions (combine / local / partitioner /
+// tap) as they are, so engine::local_edge(), cache::aligned_edge() and
+// cache::publish_tap() plug straight in. The IR is an open struct on
+// purpose: passes are plain functions that read one Graph and build
+// another, and verify() re-establishes every invariant between passes.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/flowlet.h"
+#include "engine/graph.h"
 #include "engine/split.h"
 
 namespace hamr::ir {
@@ -53,24 +53,6 @@ struct TypeTag {
 // True when the producer tag `out` can feed the consumer tag `in`.
 bool tags_compatible(const TypeTag& out, const TypeTag& in);
 
-// Edge attributes, mirroring engine::EdgeOptions field for field. `combine`
-// is normally left false at construction and placed by the place_combiner
-// pass; setting it by hand is allowed and verified the same way.
-struct EdgeAttrs {
-  bool combine = false;
-  bool local = false;
-  std::function<uint32_t(std::string_view, uint32_t)> partitioner;
-  std::function<void(uint32_t dst_node, std::string_view key,
-                     std::string_view value)>
-      tap;
-};
-
-inline EdgeAttrs local_attrs() {
-  EdgeAttrs attrs;
-  attrs.local = true;
-  return attrs;
-}
-
 struct Node {
   NodeId id = 0;
   NodeKind kind = NodeKind::kMap;
@@ -82,10 +64,11 @@ struct Node {
   // mutates the KV store). Effect nodes are the roots dead-flowlet
   // elimination keeps alive; kSink nodes are effectful by construction.
   bool effect = false;
-  // May this node be fused into its upstream producer? Front-ends clear it
-  // for flowlets whose identity matters (pinned flowlet ids, per-flowlet
-  // event streams asserted by tests).
-  bool fusible = true;
+  // kMap/kSink only: opt-in for fusion into the upstream producer (the
+  // fuse_map_combine and fuse_maps passes). Off by default, so a graph with
+  // no opt-in keeps its shape and its flowlet ids; front-ends set it where
+  // removing the bin hop pays (DESIGN.md §16).
+  bool fusible = false;
   // kCombine only: opt-in for sender-side combining (the place_combiner
   // pass). Off by default so apps keep the combiner as an explicit knob.
   bool combinable = false;
@@ -94,11 +77,14 @@ struct Node {
   std::vector<EdgeId> in_edges;
 };
 
+// `options.combine` is normally left false at construction and placed by
+// the place_combiner pass; setting it by hand is allowed and verified the
+// same way.
 struct Edge {
   EdgeId id = 0;
   NodeId src = 0;
   NodeId dst = 0;
-  EdgeAttrs attrs;
+  engine::EdgeOptions options;
 };
 
 struct Graph {
@@ -119,7 +105,7 @@ struct Graph {
 
   // Connects src -> dst; the edge becomes src's next out-port (the fused /
   // lowered flowlet's emit(port, ...) indexes out-edges in connect order).
-  EdgeId connect(NodeId src, NodeId dst, EdgeAttrs attrs = {});
+  EdgeId connect(NodeId src, NodeId dst, engine::EdgeOptions options = {});
 
   const Node& node(NodeId id) const { return nodes.at(id); }
   Node& node(NodeId id) { return nodes.at(id); }

@@ -5,27 +5,24 @@ namespace hamr::ir {
 Lowered lower(const Graph& graph) {
   verify(graph);
   Lowered lowered;
-  lowered.flowlet_of.reserve(graph.nodes.size());
   for (const Node& node : graph.nodes) {
-    engine::FlowletId id = 0;
     switch (node.kind) {
       case NodeKind::kSource:
-        id = lowered.graph.add_loader(node.name, node.factory);
+        lowered.graph.add_loader(node.name, node.factory);
         break;
       case NodeKind::kMap:
       case NodeKind::kSink:
-        id = lowered.graph.add_map(node.name, node.factory);
+        lowered.graph.add_map(node.name, node.factory);
         break;
       case NodeKind::kCombine:
-        id = lowered.graph.add_partial_reduce(node.name, node.factory);
+        lowered.graph.add_partial_reduce(node.name, node.factory);
         break;
       case NodeKind::kReduce:
-        id = lowered.graph.add_reduce(node.name, node.factory);
+        lowered.graph.add_reduce(node.name, node.factory);
         break;
     }
-    lowered.flowlet_of.push_back(id);
     for (const engine::InputSplit& split : node.splits) {
-      lowered.inputs.add(id, split);
+      lowered.inputs.add(node.id, split);
     }
   }
   // Per-node out-edge order defines the emit ports; engine connect() numbers
@@ -33,13 +30,7 @@ Lowered lower(const Graph& graph) {
   for (const Node& node : graph.nodes) {
     for (EdgeId e : node.out_edges) {
       const Edge& edge = graph.edge(e);
-      engine::EdgeOptions options;
-      options.combine = edge.attrs.combine;
-      options.local = edge.attrs.local;
-      options.partitioner = edge.attrs.partitioner;
-      options.tap = edge.attrs.tap;
-      lowered.graph.connect(lowered.flowlet_of[edge.src],
-                            lowered.flowlet_of[edge.dst], std::move(options));
+      lowered.graph.connect(edge.src, edge.dst, edge.options);
     }
   }
   lowered.graph.validate();

@@ -1,14 +1,16 @@
 // Backend: lowers a verified ir::Graph onto the engine's execution layer.
 //
 // Node kinds map onto engine flowlet kinds (source->loader, map/sink->map,
-// combine->partial reduce, reduce->reduce); edges copy their attributes
-// into engine::EdgeOptions field for field; per-source InputSplits populate
-// the JobInputs. Engine flowlet ids are assigned in IR node-id order and
-// out-ports in IR out-edge order, so an unfused lowering reproduces exactly
-// the graph (and the flowlet ids) the front-end would have hand-built.
+// combine->partial reduce, reduce->reduce); edges carry their
+// engine::EdgeOptions over unchanged; per-source InputSplits populate the
+// JobInputs.
+//
+// The id rule: flowlet id == IR node id. Out-ports follow each node's
+// out-edge order, and edges are connected node by node (so edge ids follow
+// node order, not connect order). A graph that optimize() leaves unfused
+// therefore lowers to the flowlets, ports and edge options the same calls
+// against engine::FlowletGraph would build.
 #pragma once
-
-#include <vector>
 
 #include "engine/graph.h"
 #include "engine/split.h"
@@ -19,9 +21,6 @@ namespace hamr::ir {
 struct Lowered {
   engine::FlowletGraph graph;
   engine::JobInputs inputs;
-  // IR NodeId -> engine FlowletId (identity today, but callers index through
-  // it so the assignment scheme stays an implementation detail).
-  std::vector<engine::FlowletId> flowlet_of;
 };
 
 // Verifies, then lowers. Throws std::invalid_argument on a malformed graph.

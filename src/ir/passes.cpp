@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "ir/fused.h"
 
@@ -77,8 +80,8 @@ struct Work {
 // (same-node) routing, no tap, no sender-side combining, no custom
 // partitioner.
 bool fusible_edge(const Edge& edge) {
-  return edge.attrs.local && !edge.attrs.tap && !edge.attrs.combine &&
-         !edge.attrs.partitioner;
+  return edge.options.local && !edge.options.tap && !edge.options.combine &&
+         !edge.options.partitioner;
 }
 
 // Fuses map `m` into its single producer across edge `pe`, in place: the
@@ -138,8 +141,8 @@ Graph place_combiner(const Graph& graph) {
     if (dst.kind != NodeKind::kCombine || !dst.combinable) continue;
     // Local edges skip the shuffle already; tapped edges need per-record
     // destinations, which combining erases (verify() enforces the same).
-    if (edge.attrs.local || edge.attrs.tap) continue;
-    edge.attrs.combine = true;
+    if (edge.options.local || edge.options.tap) continue;
+    edge.options.combine = true;
   }
   return work.compact();
 }
@@ -151,7 +154,7 @@ Graph fuse_map_combine(const Graph& graph) {
   return fuse_pass(graph, [](const Work& work, const Node& consumer) {
     if (consumer.out_edges.size() != 1) return false;
     const Edge& out = work.edges[consumer.out_edges[0]];
-    return !work.edge_dead[out.id] && out.attrs.combine;
+    return !work.edge_dead[out.id] && out.options.combine;
   });
 }
 
@@ -216,37 +219,19 @@ Graph eliminate_dead(const Graph& graph) {
   return work.compact();
 }
 
-PassPipeline PassPipeline::standard() {
-  PassPipeline pipeline;
-  pipeline.passes = {
+Graph optimize(Graph graph) {
+  static constexpr std::pair<const char*, Graph (*)(const Graph&)> kPasses[] = {
       {"place_combiner", place_combiner},
       {"fuse_map_combine", fuse_map_combine},
       {"fuse_maps", fuse_maps},
       {"eliminate_dead", eliminate_dead},
   };
-  return pipeline;
-}
-
-PassPipeline PassPipeline::no_fusion() {
-  PassPipeline pipeline;
-  pipeline.passes = {
-      {"place_combiner", place_combiner},
-      {"eliminate_dead", eliminate_dead},
-  };
-  return pipeline;
-}
-
-Graph PassPipeline::run(Graph graph) const {
   verify(graph);
-  for (const auto& [name, pass] : passes) {
+  for (const auto& [name, pass] : kPasses) {
     graph = pass(graph);
-    verify(graph, "after pass " + name);
+    verify(graph, std::string("after pass ") + name);
   }
   return graph;
-}
-
-Graph optimize(Graph graph) {
-  return PassPipeline::standard().run(std::move(graph));
 }
 
 }  // namespace hamr::ir

@@ -121,7 +121,7 @@ engine::FlowletFactory make_scan_loader(std::shared_ptr<const ScanCompiled> c);
 // each cached record's value is one framed row block (the same
 // encode_row_block bytes the file shards hold), decoded straight out of the
 // pinned buffers - zero disk reads per query. Splits come from
-// cache::add_scan_splits (shard index in user_tag).
+// cache::scan_splits (shard index in user_tag).
 engine::FlowletFactory make_cached_scan_loader(
     std::shared_ptr<const ScanCompiled> c,
     std::shared_ptr<const cache::Dataset> dataset);

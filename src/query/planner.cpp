@@ -129,9 +129,7 @@ ir::NodeId lower_scan_chain(const Plan& base, RowPipeline pipeline,
     const ir::NodeId loader = ctx.graph.add_source(
         "QueryCachedScan(" + base.table + ")",
         make_cached_scan_loader(compiled, cached->second), out);
-    engine::JobInputs scan_inputs;
-    cache::add_scan_splits(&scan_inputs, loader, *cached->second);
-    ctx.graph.node(loader).splits = std::move(scan_inputs.splits.at(loader));
+    ctx.graph.node(loader).splits = cache::scan_splits(*cached->second);
     return loader;
   }
 
@@ -244,13 +242,14 @@ ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
       compiled->emit = std::move(emit);
       const ir::NodeId map = ctx.graph.add_map(
           "QueryFusedMap", make_fused_map(compiled), {"", "row"}, out);
+      ctx.graph.node(map).fusible = true;
 
       EmitSpec base_emit;
       base_emit.mode = EmitSpec::Mode::kLocalRow;
       base_emit.schema = compiled->in_schema;
       const ir::NodeId base = is_join ? lower_join(*node, base_emit, ctx)
                                       : lower_group_by(*node, base_emit, ctx);
-      ctx.graph.connect(base, map, ir::local_attrs());
+      ctx.graph.connect(base, map, engine::local_edge());
       return map;
     }
 
@@ -273,12 +272,13 @@ ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
   LowerCtx ctx{catalog, staged, {}};
   const ir::NodeId sink =
       ctx.graph.add_sink("QuerySink", make_sink(out_prefix), {"", "row"});
+  ctx.graph.node(sink).fusible = true;  // runs in the top stage's task body
 
   EmitSpec top_emit;
   top_emit.mode = EmitSpec::Mode::kLocalRow;
   top_emit.schema = output_schema(plan, catalog);
   const ir::NodeId top = lower_node(plan, top_emit, ctx);
-  ctx.graph.connect(top, sink, ir::local_attrs());
+  ctx.graph.connect(top, sink, engine::local_edge());
   return ctx.graph;
 }
 

@@ -8,12 +8,13 @@
 //                        the nodes and write one framed-row shard file per
 //                        node into its local store (the DFS-resident-input
 //                        analog: scans read node-local disks, paper §5.1);
-//   2. lower()         - recursively compile the plan tree into a
-//                        FlowletGraph + JobInputs. Filter/project chains
-//                        fuse into the flowlet below them (the scan loader
-//                        when the base is a scan, a single local-edge map
-//                        otherwise); joins and group-bys become shuffle
-//                        stages; a sink map collects final rows per node;
+//   2. lower()         - recursively compile the plan tree into an
+//                        ir::Graph and lower it through ir::optimize +
+//                        ir::lower. Filter/project chains fold into the
+//                        flowlet below them (the scan loader when the base
+//                        is a scan, a fusible local-edge map otherwise);
+//                        joins and group-bys become shuffle stages; a
+//                        fusible sink collects final rows per node;
 //   3. run             - Engine::run or JobService::submit; the job's
 //                        collect() merges every node's sink file into the
 //                        ticket payload;
@@ -81,9 +82,9 @@ ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
 
 // Validates the plan (throws std::invalid_argument like output_schema) and
 // compiles it against tables previously staged under the same catalog:
-// lower_ir + the standard IR pass pipeline (sender-side combiner placement
-// on group-bys, sink/map fusion into the producing stage, dead-flowlet
-// elimination) + backend lowering.
+// lower_ir + ir::optimize (sender-side combiner placement on group-bys,
+// sink/map fusion into the producing stage, dead-flowlet elimination) +
+// ir::lower.
 Lowered lower(const Plan& plan, const Catalog& catalog,
               const StagedTables& staged, const std::string& tag);
 

@@ -10,6 +10,8 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "engine/runtime.h"
+#include "ir/lower.h"
+#include "ir/passes.h"
 #include "obs/trace.h"
 #include "serde/batch.h"
 #include "sort/merge.h"
@@ -279,26 +281,25 @@ SortStats run_distributed_sort(engine::Engine& engine, const SortSpec& spec) {
   SortStats stats;
   stats.partitioner = sample_partitioner(cluster, spec, cluster.size());
 
-  engine::FlowletGraph graph;
-  const auto loader = graph.add_loader(
+  ir::Graph graph;
+  const auto loader = graph.add_source(
       "sort_load", [spec] { return std::make_unique<SortRunLoader>(spec); });
-  const auto sink = graph.add_map(
+  const auto sink = graph.add_sink(
       "sort_sink", [spec] { return std::make_unique<SortSink>(spec); });
   engine::EdgeOptions range_edge;
   range_edge.partitioner = stats.partitioner.as_edge_partitioner();
   graph.connect(loader, sink, range_edge);
-
-  engine::JobInputs inputs;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     engine::InputSplit split;
     split.path = spec.input_path;
     split.offset = 0;
     split.length = cluster.node(n).store().file_size(spec.input_path).value_or(0);
     split.preferred_node = n;
-    inputs.add(loader, split);
+    graph.node(loader).splits.push_back(std::move(split));
   }
 
-  stats.job = engine.run(graph, inputs);
+  const ir::Lowered job = ir::lower(ir::optimize(std::move(graph)));
+  stats.job = engine.run(job.graph, job.inputs);
   stats.input_records = stats.job.metrics.counter("engine.records");
   return stats;
 }

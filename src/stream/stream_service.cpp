@@ -3,6 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ir/lower.h"
+#include "ir/passes.h"
+
 namespace hamr::stream {
 
 StreamTicket::Progress StreamTicket::poll() const {
@@ -37,14 +40,14 @@ service::JobWork StreamService::make_work(StreamPipeline pipeline,
   // start() lays out one split per node.
   win_opts.expected_origins = nodes;
 
-  service::JobWork work;
+  ir::Graph graph;
   auto source = std::move(pipeline.source);
-  const engine::FlowletId src_id = work.graph.add_loader(
+  const ir::NodeId src_id = graph.add_source(
       "stream.source", [source, src_opts]() -> std::unique_ptr<engine::Flowlet> {
         return std::make_unique<SourceFlowlet>(source(), src_opts);
       });
   auto fold = std::move(pipeline.fold);
-  const engine::FlowletId win_id = work.graph.add_partial_reduce(
+  const ir::NodeId win_id = graph.add_combine(
       "stream.window", [fold, win_opts]() -> std::unique_ptr<engine::Flowlet> {
         return std::make_unique<EventWindowFlowlet>(fold, win_opts);
       });
@@ -55,23 +58,27 @@ service::JobWork StreamService::make_work(StreamPipeline pipeline,
       return std::make_unique<WindowFileSink>(dir);
     };
   }
-  const engine::FlowletId sink_id =
-      work.graph.add_map("stream.sink", std::move(sink));
+  const ir::NodeId sink_id = graph.add_sink("stream.sink", std::move(sink));
 
   // Hash-partitioned data edge: (window, key) records and punctuation share
-  // per-(src,dst) FIFO channels. Never a combine edge - sender-side combining
-  // would fold punctuation into combine tables.
-  work.graph.connect(src_id, win_id);
+  // per-(src,dst) FIFO channels. Never a combine edge (the window is not
+  // combinable) - sender-side combining would fold punctuation into combine
+  // tables.
+  graph.connect(src_id, win_id);
   // Closed windows ride the reliable shuffle downstream like any records.
-  work.graph.connect(win_id, sink_id);
+  graph.connect(win_id, sink_id);
 
   for (uint32_t n = 0; n < nodes; ++n) {
     engine::InputSplit split;
     split.preferred_node = n;
     split.user_tag = n;
-    work.inputs.add(src_id, split);
+    graph.node(src_id).splits.push_back(split);
   }
 
+  ir::Lowered lowered = ir::lower(ir::optimize(std::move(graph)));
+  service::JobWork work;
+  work.graph = std::move(lowered.graph);
+  work.inputs = std::move(lowered.inputs);
   const std::string dir = pipeline.output_dir;
   work.collect = [dir](engine::Engine& eng) {
     return WindowFileSink::read_all(eng.cluster(), dir);

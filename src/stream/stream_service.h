@@ -109,9 +109,9 @@ class StreamService {
   std::shared_ptr<StreamTicket> start(StreamPipeline pipeline,
                                       StreamSpec spec = {});
 
-  // Builds the JobWork for a pipeline without submitting (bench/tests that
-  // drive an Engine directly). One source split per node; `stats` may be
-  // null.
+  // Builds the pipeline as an ir::Graph (source -> window -> sink) and
+  // lowers it into a JobWork without submitting (bench/tests that drive an
+  // Engine directly). One source split per node; `stats` may be null.
   static service::JobWork make_work(StreamPipeline pipeline, uint32_t nodes,
                                     std::shared_ptr<StreamStats> stats);
 

@@ -100,15 +100,19 @@ TEST(AppsIntegration, HistogramRatings) {
       apps::histograms::reference(shards, apps::histograms::Kind::kRatings);
   ASSERT_EQ(expected.size(), 5u);  // exactly the 5 rating keys
 
-  apps::histograms::run_hamr(env, staged, apps::histograms::Kind::kRatings,
-                             /*combine=*/false);
+  const auto plain = apps::histograms::run_hamr(
+      env, staged, apps::histograms::Kind::kRatings, /*combine=*/false);
   EXPECT_EQ(apps::histograms::hamr_output(env, apps::histograms::Kind::kRatings),
             expected);
-  // Combiner variant (Table 3) must agree too.
-  apps::histograms::run_hamr(env, staged, apps::histograms::Kind::kRatings,
-                             /*combine=*/true);
+  // No combiner requested: nothing folds sender-side.
+  EXPECT_EQ(plain.engine_result.metrics.counter("engine.combine_folds"), 0u);
+  // Combiner variant (Table 3) must agree too ...
+  const auto combined = apps::histograms::run_hamr(
+      env, staged, apps::histograms::Kind::kRatings, /*combine=*/true);
   EXPECT_EQ(apps::histograms::hamr_output(env, apps::histograms::Kind::kRatings),
             expected);
+  // ... and the combiner must actually have been placed on the shuffle edge.
+  EXPECT_GT(combined.engine_result.metrics.counter("engine.combine_folds"), 0u);
   apps::histograms::run_baseline(env, staged, apps::histograms::Kind::kRatings);
   EXPECT_EQ(apps::histograms::baseline_output(env, apps::histograms::Kind::kRatings),
             expected);

@@ -12,6 +12,7 @@
 #include "apps/common.h"
 #include "apps/wordcount.h"
 #include "engine/engine.h"
+#include "engine/graph.h"
 #include "ir/ir.h"
 #include "ir/lower.h"
 #include "ir/passes.h"
@@ -20,7 +21,6 @@
 namespace hamr {
 namespace {
 
-using ir::EdgeAttrs;
 using ir::Graph;
 using ir::NodeId;
 using ir::NodeKind;
@@ -31,7 +31,7 @@ engine::FlowletFactory stub_factory() {
   return [] { return std::unique_ptr<engine::Flowlet>(); };
 }
 
-EdgeAttrs hash_attrs() { return {}; }
+engine::EdgeOptions hash_attrs() { return {}; }
 
 // --- verifier -------------------------------------------------------------
 
@@ -40,7 +40,7 @@ TEST(IrVerify, AcceptsAWellFormedChain) {
   const NodeId src = g.add_source("src", stub_factory(), {"", "line"});
   const NodeId map = g.add_map("m", stub_factory(), {"", "line"}, {"k", "v"});
   const NodeId sink = g.add_sink("sink", stub_factory(), {"k", "v"});
-  g.connect(src, map, ir::local_attrs());
+  g.connect(src, map, engine::local_edge());
   g.connect(map, sink);
   EXPECT_NO_THROW(ir::verify(g));
 }
@@ -87,7 +87,7 @@ TEST(IrVerify, RejectsTapOnCombineEdgeWithClearError) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId comb = g.add_combine("fold", stub_factory());
   g.node(comb).effect = true;
-  EdgeAttrs attrs;
+  engine::EdgeOptions attrs;
   attrs.combine = true;
   attrs.tap = [](uint32_t, std::string_view, std::string_view) {};
   g.connect(src, comb, attrs);
@@ -107,7 +107,7 @@ TEST(IrVerify, RejectsCombineEdgeIntoNonCombineNode) {
   Graph g;
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId sink = g.add_sink("sink", stub_factory());
-  EdgeAttrs attrs;
+  engine::EdgeOptions attrs;
   attrs.combine = true;
   g.connect(src, sink, attrs);
   EXPECT_THROW(ir::verify(g), std::invalid_argument);
@@ -148,9 +148,10 @@ TEST(IrPasses, FuseMapsCollapsesALocalChain) {
       g.add_map("m1", stub_factory(), {"", "line"}, {"", "token"});
   const NodeId m2 = g.add_map("m2", stub_factory(), {"", "token"}, {"k", "v"});
   const NodeId sink = g.add_sink("sink", stub_factory(), {"k", "v"});
-  g.connect(src, m1, ir::local_attrs());
-  g.connect(m1, m2, ir::local_attrs());
-  g.connect(m2, sink, ir::local_attrs());
+  for (NodeId n : {m1, m2, sink}) g.node(n).fusible = true;
+  g.connect(src, m1, engine::local_edge());
+  g.connect(m1, m2, engine::local_edge());
+  g.connect(m2, sink, engine::local_edge());
 
   const Graph fused = fuse_maps(g);
   ir::verify(fused, "test");
@@ -166,8 +167,10 @@ TEST(IrPasses, FuseMapsStopsAtShuffleEdges) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId map = g.add_map("m", stub_factory());
   const NodeId sink = g.add_sink("sink", stub_factory());
+  g.node(map).fusible = true;
+  g.node(sink).fusible = true;
   g.connect(src, map, hash_attrs());  // shuffle: not fusible
-  g.connect(map, sink, ir::local_attrs());
+  g.connect(map, sink, engine::local_edge());
 
   const Graph fused = fuse_maps(g);
   ir::verify(fused, "test");
@@ -182,8 +185,8 @@ TEST(IrPasses, FuseMapsHonoursFusibleFalse) {
   const NodeId sink = g.add_sink("sink", stub_factory());
   g.node(map).fusible = false;
   g.node(sink).fusible = false;
-  g.connect(src, map, ir::local_attrs());
-  g.connect(map, sink, ir::local_attrs());
+  g.connect(src, map, engine::local_edge());
+  g.connect(map, sink, engine::local_edge());
 
   const Graph fused = fuse_maps(g);
   EXPECT_EQ(fused.nodes.size(), 3u);
@@ -194,8 +197,10 @@ TEST(IrPasses, FuseMapsLeavesFanOutProducersAlone) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId a = g.add_sink("a", stub_factory());
   const NodeId b = g.add_sink("b", stub_factory());
-  g.connect(src, a, ir::local_attrs());
-  g.connect(src, b, ir::local_attrs());
+  g.node(a).fusible = true;
+  g.node(b).fusible = true;
+  g.connect(src, a, engine::local_edge());
+  g.connect(src, b, engine::local_edge());
 
   // Two consumers: fusing either would change the other's port numbering.
   const Graph fused = fuse_maps(g);
@@ -216,17 +221,17 @@ TEST(IrPasses, PlaceCombinerEnablesOnlyEligibleEdges) {
 
   g.connect(src, opted, hash_attrs());
   g.connect(src, not_opted, hash_attrs());
-  g.connect(src, local, ir::local_attrs());
-  EdgeAttrs tap_attrs;
+  g.connect(src, local, engine::local_edge());
+  engine::EdgeOptions tap_attrs;
   tap_attrs.tap = [](uint32_t, std::string_view, std::string_view) {};
   g.connect(src, tapped, tap_attrs);
 
   const Graph placed = place_combiner(g);
   ir::verify(placed, "test");
-  EXPECT_TRUE(placed.edges[0].attrs.combine);    // shuffle into opted-in
-  EXPECT_FALSE(placed.edges[1].attrs.combine);   // not opted in
-  EXPECT_FALSE(placed.edges[2].attrs.combine);   // local edge: nothing to win
-  EXPECT_FALSE(placed.edges[3].attrs.combine);   // tap would be blinded
+  EXPECT_TRUE(placed.edges[0].options.combine);    // shuffle into opted-in
+  EXPECT_FALSE(placed.edges[1].options.combine);   // not opted in
+  EXPECT_FALSE(placed.edges[2].options.combine);   // local edge: nothing to win
+  EXPECT_FALSE(placed.edges[3].options.combine);   // tap would be blinded
 }
 
 TEST(IrPasses, FuseMapCombineFoldsTheMapBelowTheShuffle) {
@@ -234,18 +239,19 @@ TEST(IrPasses, FuseMapCombineFoldsTheMapBelowTheShuffle) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId map = g.add_map("m", stub_factory());
   const NodeId comb = g.add_combine("fold", stub_factory());
+  g.node(map).fusible = true;
   g.node(comb).combinable = true;
   g.node(comb).effect = true;
-  g.connect(src, map, ir::local_attrs());
+  g.connect(src, map, engine::local_edge());
   g.connect(map, comb, hash_attrs());
 
   const Graph placed = place_combiner(g);
-  ASSERT_TRUE(placed.edges[1].attrs.combine);
+  ASSERT_TRUE(placed.edges[1].options.combine);
   const Graph fused = fuse_map_combine(placed);
   ir::verify(fused, "test");
   ASSERT_EQ(fused.nodes.size(), 2u);
   EXPECT_EQ(fused.nodes[0].name, "src+m");
-  EXPECT_TRUE(fused.edges[0].attrs.combine);  // combine edge survives fusion
+  EXPECT_TRUE(fused.edges[0].options.combine);  // combine edge survives fusion
 }
 
 TEST(IrPasses, EliminateDeadDropsBranchesWithoutEffects) {
@@ -253,8 +259,8 @@ TEST(IrPasses, EliminateDeadDropsBranchesWithoutEffects) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId sink = g.add_sink("sink", stub_factory());
   const NodeId dead = g.add_map("dead", stub_factory());
-  g.connect(src, sink, ir::local_attrs());
-  g.connect(src, dead, ir::local_attrs());
+  g.connect(src, sink, engine::local_edge());
+  g.connect(src, dead, engine::local_edge());
   // `dead` hangs off src's trailing out-port, so removing it cannot
   // renumber the sink edge.
   const Graph cleaned = eliminate_dead(g);
@@ -268,8 +274,8 @@ TEST(IrPasses, EliminateDeadKeepsNodesThatWouldRenumberPorts) {
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId dead = g.add_map("dead", stub_factory());
   const NodeId sink = g.add_sink("sink", stub_factory());
-  g.connect(src, dead, ir::local_attrs());  // port 0: dead
-  g.connect(src, sink, ir::local_attrs());  // port 1: live
+  g.connect(src, dead, engine::local_edge());  // port 0: dead
+  g.connect(src, sink, engine::local_edge());  // port 1: live
   // Removing `dead` would shift the sink edge from port 1 to port 0 and
   // break the source flowlet's emit(1, ...) calls - so it must stay.
   const Graph cleaned = eliminate_dead(g);
@@ -278,22 +284,39 @@ TEST(IrPasses, EliminateDeadKeepsNodesThatWouldRenumberPorts) {
 }
 
 TEST(IrPasses, StandardPipelineIsVerifiedBetweenPasses) {
-  // A graph that is invalid from the start fails in run() with the
+  // A graph that is invalid from the start fails in optimize() with the
   // context-free message, before any pass mutates it.
   Graph g;
   g.add_map("orphan", stub_factory());
-  EXPECT_THROW(ir::PassPipeline::standard().run(g), std::invalid_argument);
+  EXPECT_THROW(ir::optimize(g), std::invalid_argument);
 }
 
-TEST(IrPasses, NoFusionPipelinePreservesShape) {
+TEST(IrPasses, OptimizeKeepsTheShapeOfAnUnmarkedGraph) {
+  // No node opts into fusion, so optimize() keeps every node and edge ...
   ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
-  const ir::Graph out = ir::PassPipeline::no_fusion().run(g);
+  const ir::Graph out = ir::optimize(g);
   EXPECT_EQ(out.nodes.size(), g.nodes.size());
   EXPECT_EQ(out.edges.size(), g.edges.size());
   // ... but still places the combiner on the shuffle edge.
   bool combined = false;
-  for (const auto& e : out.edges) combined |= e.attrs.combine;
+  for (const auto& e : out.edges) combined |= e.options.combine;
   EXPECT_TRUE(combined);
+}
+
+TEST(IrPasses, OptimizeFusesAMapMarkedFusible) {
+  Graph g;
+  const NodeId src = g.add_source("src", stub_factory());
+  const NodeId map = g.add_map("m", stub_factory());
+  const NodeId sink = g.add_sink("sink", stub_factory());
+  g.connect(src, map, engine::local_edge());
+  g.connect(map, sink);
+  EXPECT_EQ(ir::optimize(g).nodes.size(), 3u);  // nothing opted in
+
+  g.node(map).fusible = true;
+  const Graph fused = ir::optimize(g);
+  ASSERT_EQ(fused.nodes.size(), 2u);
+  EXPECT_EQ(fused.nodes[0].name, "src+m");  // collapsed into its producer
+  EXPECT_EQ(fused.nodes[1].name, "sink");   // across a shuffle: stays
 }
 
 // --- dump -----------------------------------------------------------------
@@ -308,8 +331,9 @@ TEST(IrDump, RendersNodesEdgesAndAttributes) {
   g.node(comb).effect = true;
   g.node(comb).combinable = true;
   g.node(src).splits.resize(4);
-  g.connect(src, map, ir::local_attrs());
-  EdgeAttrs attrs;
+  g.node(map).fusible = true;
+  g.connect(src, map, engine::local_edge());
+  engine::EdgeOptions attrs;
   attrs.combine = true;
   g.connect(map, comb, attrs);
 
@@ -317,8 +341,9 @@ TEST(IrDump, RendersNodesEdgesAndAttributes) {
   EXPECT_NE(text.find("n0: source \"TextLoader\" out=(,line) splits=4"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("n1: map \"Splitter\" in=(,line) out=(word,count)"),
-            std::string::npos)
+  EXPECT_NE(
+      text.find("n1: map \"Splitter\" in=(,line) out=(word,count) fusible"),
+      std::string::npos)
       << text;
   EXPECT_NE(text.find("effect combinable"), std::string::npos) << text;
   EXPECT_NE(text.find("e0: n0 -> n1 [local]"), std::string::npos) << text;
@@ -327,19 +352,27 @@ TEST(IrDump, RendersNodesEdgesAndAttributes) {
 
 // --- lowering -------------------------------------------------------------
 
+// The id rule of lower.h: the flowlet id of a node is its IR node id.
+engine::FlowletId source_flowlet(const ir::Graph& graph) {
+  for (const ir::Node& node : graph.nodes) {
+    if (node.kind == NodeKind::kSource) return node.id;
+  }
+  return 99;
+}
+
 TEST(IrLower, UnfusedWordCountPreservesHandBuiltFlowletIds) {
   // The chaos suite pins crash points to loader=0, splitter=1, count=2;
-  // the shape-preserving lowering must keep that contract forever.
-  uint32_t loader = 99;
-  const engine::FlowletGraph g = apps::wordcount::build_graph(&loader);
-  EXPECT_EQ(loader, 0u);
+  // lowering a graph without fusion opt-ins must keep that contract forever.
+  const ir::Graph optimized = ir::optimize(apps::wordcount::build_ir());
+  const engine::FlowletGraph g = ir::lower(optimized).graph;
+  EXPECT_EQ(source_flowlet(optimized), 0u);
   ASSERT_EQ(g.num_flowlets(), 3u);
   EXPECT_EQ(g.flowlet(0).kind, engine::FlowletKind::kLoader);
   EXPECT_EQ(g.flowlet(1).kind, engine::FlowletKind::kMap);
   EXPECT_EQ(g.flowlet(2).kind, engine::FlowletKind::kPartialReduce);
 }
 
-TEST(IrLower, CopiesSplitsAndEdgeAttrsIntoTheEngineGraph) {
+TEST(IrLower, CopiesSplitsAndEdgeOptionsIntoTheEngineGraph) {
   Graph g;
   const NodeId src = g.add_source("src", stub_factory());
   const NodeId comb = g.add_combine("fold", stub_factory());
@@ -349,26 +382,27 @@ TEST(IrLower, CopiesSplitsAndEdgeAttrsIntoTheEngineGraph) {
   split.length = 7;
   split.preferred_node = 1;
   g.node(src).splits.push_back(split);
-  EdgeAttrs attrs;
+  engine::EdgeOptions attrs;
   attrs.combine = true;
   g.connect(src, comb, attrs);
 
   const ir::Lowered lowered = ir::lower(g);
   ASSERT_EQ(lowered.graph.num_flowlets(), 2u);
-  ASSERT_EQ(lowered.flowlet_of.size(), 2u);
+  ASSERT_EQ(lowered.graph.flowlet(src).name, "src");  // flowlet id == node id
   EXPECT_TRUE(lowered.graph.edge(0).options.combine);
-  const auto& splits = lowered.inputs.splits.at(lowered.flowlet_of[src]);
+  const auto& splits = lowered.inputs.splits.at(src);
   ASSERT_EQ(splits.size(), 1u);
   EXPECT_EQ(splits[0].path, "input/x");
   EXPECT_EQ(splits[0].preferred_node, 1u);
 }
 
 TEST(IrLower, FusedWordCountHasTwoFlowlets) {
-  uint32_t loader = 99;
-  const ir::Lowered lowered =
-      apps::wordcount::build_fused(&loader, /*combine=*/false);
+  const ir::Graph optimized = ir::optimize(apps::wordcount::build_ir(
+      /*combine=*/false, /*use_full_reduce=*/false, /*fused=*/true));
+  const ir::Lowered lowered = ir::lower(optimized);
   EXPECT_EQ(lowered.graph.num_flowlets(), 2u);  // loader+splitter, counter
-  EXPECT_EQ(lowered.graph.flowlet(loader).kind, engine::FlowletKind::kLoader);
+  EXPECT_EQ(lowered.graph.flowlet(source_flowlet(optimized)).kind,
+            engine::FlowletKind::kLoader);
 }
 
 // --- end-to-end: fusion is an optimization, not a semantics change --------
