@@ -1,6 +1,6 @@
-// Microbenchmarks for the scheduling substrate: bounded-queue throughput,
-// thread-pool dispatch overhead, the engine's bin-queue scheduler at 1..16
-// workers, and fused vs unfused pipeline dispatch.
+// Microbenchmarks for the scheduling substrate: thread-pool dispatch
+// overhead, the engine's bin-queue scheduler at 1..16 workers, and fused vs
+// unfused pipeline dispatch.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,38 +10,10 @@
 #include "apps/common.h"
 #include "apps/wordcount.h"
 #include "common/metrics.h"
-#include "common/queue.h"
 #include "common/thread_pool.h"
 #include "engine/scheduler.h"
 
 using namespace hamr;
-
-static void BM_QueuePushPopSingleThread(benchmark::State& state) {
-  BoundedQueue<uint64_t> q(1024);
-  for (auto _ : state) {
-    q.push(42);
-    benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QueuePushPopSingleThread);
-
-static void BM_QueueProducerConsumer(benchmark::State& state) {
-  for (auto _ : state) {
-    BoundedQueue<uint64_t> q(256);
-    constexpr uint64_t kItems = 10000;
-    std::thread producer([&] {
-      for (uint64_t i = 0; i < kItems; ++i) q.push(i);
-      q.close();
-    });
-    uint64_t sum = 0;
-    while (auto v = q.pop()) sum += *v;
-    producer.join();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_QueueProducerConsumer);
 
 static void BM_ThreadPoolDispatch(benchmark::State& state) {
   ThreadPool pool(static_cast<size_t>(state.range(0)));

@@ -6,9 +6,10 @@
 //
 // Every run is validated byte-for-byte against a single-threaded std::sort
 // of the same dataset - the bench exits non-zero on any mismatch, including
-// under --chaos (message drops + task crashes over the reliable channel).
+// under --chaos (message drops + task crashes over the reliable channel, which
+// must also re-copy no shuffle frame).
 //
-//   terasort --nodes=8 --threads=4 --records=200000 --reliable --chaos
+//   terasort --nodes=8 --threads=4 --records=200000 --chaos
 //            --metrics_json=bench_terasort.json --trace=terasort_trace.json
 #include <algorithm>
 #include <chrono>
@@ -58,13 +59,12 @@ struct RunResult {
   uint64_t spill_runs = 0;
 };
 
-RunResult run_once(uint32_t nodes, uint32_t threads, bool reliable,
+RunResult run_once(uint32_t nodes, uint32_t threads,
                    fault::FaultInjector* injector,
                    const std::vector<std::string>& data,
                    const std::vector<std::string>& expected,
                    uint64_t memory_budget) {
   engine::EngineConfig cfg = engine::EngineConfig::fast();
-  cfg.reliable_shuffle = reliable;
   cfg.fault_injector = injector;
   apps::BenchEnv env = apps::BenchEnv::make(
       cluster::ClusterConfig::fast(nodes, threads), cfg);
@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
           "  --records=N          dataset size in 100-byte records (default 200000)\n"
           "  --seed=N             dataset seed (default 42)\n"
           "  --budget_kb=N        per-node sort staging budget (default 1024)\n"
-          "  --reliable           run over the seq/ack reliable channel\n"
           "  --chaos              add a 5%-drop / 2%-crash chaos run at max nodes\n");
   BenchSetup setup = BenchSetup::from_flags(flags);
   const size_t records = static_cast<size_t>(
@@ -130,7 +129,6 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.get_int("seed", 42));
   const uint64_t budget =
       static_cast<uint64_t>(flags.get_int("budget_kb", 1024)) * 1024;
-  const bool reliable = flags.get_bool("reliable", false);
   const bool chaos = flags.get_bool("chaos", false);
   init_observability(setup);
 
@@ -140,17 +138,15 @@ int main(int argc, char** argv) {
   std::vector<std::string> expected = data;
   std::sort(expected.begin(), expected.end());
 
-  std::printf("TeraSort: %zu records, %.1f MB, budget %llu KB, %s shuffle\n\n",
-              records, total_bytes / 1e6,
-              static_cast<unsigned long long>(budget / 1024),
-              reliable ? "reliable" : "legacy");
+  std::printf("TeraSort: %zu records, %.1f MB, budget %llu KB\n\n", records,
+              total_bytes / 1e6, static_cast<unsigned long long>(budget / 1024));
   std::printf("%7s %9s %9s %10s %10s %8s\n", "Nodes", "Time(s)", "GB/s",
               "FrameCopy", "SpillRuns", "Check");
 
   bool all_ok = true;
   for (uint32_t n = 1; n <= setup.nodes; n *= 2) {
-    const RunResult r = run_once(n, setup.threads, reliable,
-                                 /*injector=*/nullptr, data, expected, budget);
+    const RunResult r = run_once(n, setup.threads, /*injector=*/nullptr, data,
+                                 expected, budget);
     all_ok = all_ok && r.ok;
     std::printf("%7u %9.3f %9.3f %10llu %10llu %8s\n", n, r.seconds,
                 total_bytes / 1e9 / r.seconds,
@@ -158,13 +154,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.spill_runs),
                 r.ok ? "ok" : "MISMATCH");
     std::fflush(stdout);
-    // Zero-copy invariant: frames over the reliable channel share the pooled
-    // bin buffer; any re-copy at serialize/enqueue/resend bumps the counter.
-    if (reliable && r.frame_copies != 0) {
-      std::fprintf(stderr, "FAIL: %llu shuffle frame copies on zero-copy path\n",
-                   static_cast<unsigned long long>(r.frame_copies));
-      all_ok = false;
-    }
   }
 
   if (chaos) {
@@ -174,14 +163,21 @@ int main(int argc, char** argv) {
     plan.seed = 1213;
     plan.resend_after = millis(20);  // recover dropped frames quickly
     fault::FaultInjector injector(plan);
-    const RunResult r = run_once(setup.nodes, setup.threads, /*reliable=*/true,
-                                 &injector, data, expected, budget);
+    const RunResult r = run_once(setup.nodes, setup.threads, &injector, data,
+                                 expected, budget);
     all_ok = all_ok && r.ok;
     std::printf("%6uc %9.3f %9.3f %10llu %10llu %8s  (5%% drop, 2%% crash)\n",
                 setup.nodes, r.seconds, total_bytes / 1e9 / r.seconds,
                 static_cast<unsigned long long>(r.frame_copies),
                 static_cast<unsigned long long>(r.spill_runs),
                 r.ok ? "ok" : "MISMATCH");
+    // Zero-copy invariant: frames over the reliable channel share the pooled
+    // bin buffer; any re-copy at serialize/enqueue/resend bumps the counter.
+    if (r.frame_copies != 0) {
+      std::fprintf(stderr, "FAIL: %llu shuffle frame copies on zero-copy path\n",
+                   static_cast<unsigned long long>(r.frame_copies));
+      all_ok = false;
+    }
   }
 
   finish_observability(setup);

@@ -3,15 +3,21 @@
 // only one computing engine").
 //
 // Batch layer : a batch job counts words over the historical files on disk.
-// Speed layer : a streaming job counts words over a live source.
+// Speed layer : a stream counts words from a paced live source.
 // Serving     : the driver merges both views into a combined count table.
 //
-// The two layers are ONE job builder (word_count) on the SAME engine, each
-// compiled through ir::lower(ir::optimize(...)) - only the source passed in
-// differs (TextLoader over the history files vs a RateLimitedSource).
+// Both layers are ir::Graphs lowered through ir::lower(ir::optimize(...))
+// and run on the SAME engine. The batch job is TextLoader -> Tokenize ->
+// Count; the speed layer is the stream layer's pipeline (a paced
+// GeneratorSource on every node drawing from the history's Zipf vocabulary,
+// one event-time window longer than the run, the default window file sink),
+// lowered by StreamService::make_work and run with Engine::run_streaming.
 //
 // Run:  ./examples/lambda_pipeline [--seconds=2]
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <map>
 
 #include "apps/common.h"
 #include "apps/counting.h"
@@ -19,8 +25,7 @@
 #include "common/random.h"
 #include "engine/loaders.h"
 #include "gen/generators.h"
-#include "ir/lower.h"
-#include "ir/passes.h"
+#include "stream/stream_service.h"
 
 using namespace hamr;
 
@@ -35,30 +40,14 @@ class Tokenize : public engine::MapFlowlet {
   }
 };
 
-// Live source emitting the same vocabulary as the historical data.
-class LiveSource : public engine::RateLimitedSource {
- public:
-  LiveSource() : RateLimitedSource(/*records_per_sec=*/5000), zipf_(1000, 0.99) {}
-
-  void make_record(const engine::InputSplit& split, uint64_t index,
-                   std::string* key, std::string* value) override {
-    Rng rng(split.preferred_node * 31 + index);
-    *key = std::to_string(index);
-    *value = "w" + std::to_string(zipf_.sample(rng));
-  }
-
- private:
-  Zipf zipf_;
-};
-
-// The job both layers run: source -> Tokenize -> Count, with the counts
-// written under `out_prefix`.
-ir::Graph word_count(std::string source_name, engine::FlowletFactory source,
-                     std::vector<engine::InputSplit> splits,
+// The batch job: TextLoader -> Tokenize -> Count, with the counts written
+// under `out_prefix`.
+ir::Graph word_count(const apps::StagedInput& input,
                      const std::string& out_prefix) {
   ir::Graph graph;
-  const auto loader = graph.add_source(std::move(source_name), std::move(source));
-  graph.node(loader).splits = std::move(splits);
+  const auto loader = graph.add_source(
+      "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.node(loader).splits = input.splits;
   const auto tokenize =
       graph.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
   const auto count = graph.add_combine("Count", [out_prefix] {
@@ -70,9 +59,21 @@ ir::Graph word_count(std::string source_name, engine::FlowletFactory source,
   return graph;
 }
 
-std::map<std::string, uint64_t> layer_counts(apps::BenchEnv& env,
-                                             const std::string& prefix) {
-  return apps::to_counts(apps::collect_local_kv(*env.cluster, prefix));
+// Per-word totals of the window sink's "window|word \t count" lines.
+std::map<std::string, uint64_t> window_counts(const std::string& sink_output) {
+  std::map<std::string, uint64_t> counts;
+  size_t pos = 0;
+  while (pos < sink_output.size()) {
+    size_t nl = sink_output.find('\n', pos);
+    if (nl == std::string::npos) nl = sink_output.size();
+    const std::string_view line(sink_output.data() + pos, nl - pos);
+    pos = nl + 1;
+    const size_t tab = line.find('\t');
+    if (tab == std::string_view::npos) continue;
+    counts[std::string(stream::window_key_user(line.substr(0, tab)))] +=
+        apps::parse_count(line.substr(tab + 1));
+  }
+  return counts;
 }
 
 }  // namespace
@@ -97,29 +98,46 @@ int main(int argc, char** argv) {
   }
   const apps::StagedInput history = apps::stage_input(env, "history", shards);
 
-  const auto batch_result = apps::run_ir(
-      env, word_count("TextLoader",
-                      [] { return std::make_unique<engine::TextLoader>(); },
-                      history.splits, "out/lambda_batch/"));
+  const auto batch_result =
+      apps::run_ir(env, word_count(history, "out/lambda_batch/"));
   std::printf("batch layer: %.1f MB of history in %.3f s\n",
               static_cast<double>(history.total_bytes) / 1e6,
               batch_result.wall_seconds);
 
-  // ---- Speed layer: same job, streaming source, same engine. ----
-  std::vector<engine::InputSplit> live_splits(env.nodes());
-  for (uint32_t n = 0; n < env.nodes(); ++n) live_splits[n].preferred_node = n;
-  const ir::Lowered speed = ir::lower(ir::optimize(
-      word_count("LiveSource", [] { return std::make_unique<LiveSource>(); },
-                 std::move(live_splits), "out/lambda_speed/")));
+  // ---- Speed layer: live words from the same vocabulary, same engine. ----
+  // Each node's source emits one word per event at kLiveRate events/s, and
+  // event time tracks wall time (one event every 1e6 / kLiveRate us), so a
+  // single tumbling window a second longer than the run holds every live
+  // event and closes when the stream drains.
+  constexpr double kLiveRate = 5000;
   const double seconds = flags.get_double("seconds", 2);
-  const auto speed_result =
-      env.engine->run_streaming(speed.graph, speed.inputs, from_seconds(seconds));
+  const auto zipf = std::make_shared<Zipf>(spec.vocab, spec.theta);
+  stream::GeneratorConfig live;  // unbounded: runs until the stream stops
+  live.events_per_sec = kLiveRate;
+  live.period_us = std::llround(1e6 / kLiveRate);
+  live.make = [zipf](uint64_t index, std::string* key, std::string* value) {
+    Rng rng(index);
+    *key = "w" + std::to_string(zipf->sample(rng));
+    *value = "1";
+  };
+  stream::StreamPipeline speed;
+  speed.source = [live] { return std::make_unique<stream::GeneratorSource>(live); };
+  speed.source_options.window.size_us = std::llround((seconds + 1) * 1e6);
+  speed.fold = [](std::string_view, std::string_view value, std::string& acc) {
+    acc = std::to_string(apps::parse_count(acc) + apps::parse_count(value));
+  };
+  speed.output_dir = "out/lambda_speed";
+  const service::JobWork speed_work =
+      stream::StreamService::make_work(std::move(speed), env.nodes(), nullptr);
+  const auto speed_result = env.engine->run_streaming(
+      speed_work.graph, speed_work.inputs, from_seconds(seconds));
   std::printf("speed layer: streamed %.1f s in %.3f s wall\n", seconds,
               speed_result.wall_seconds);
 
   // ---- Serving layer: merge both views. ----
-  const auto batch_view = layer_counts(env, "out/lambda_batch/");
-  const auto speed_view = layer_counts(env, "out/lambda_speed/");
+  const auto batch_view =
+      apps::to_counts(apps::collect_local_kv(*env.cluster, "out/lambda_batch/"));
+  const auto speed_view = window_counts(speed_work.collect(*env.engine));
   std::map<std::string, uint64_t> merged = batch_view;
   for (const auto& [word, count] : speed_view) merged[word] += count;
 

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "apps/movie_vectors.h"
-#include "cache/scan_loader.h"
 
 namespace hamr::apps::kmeans {
 
@@ -333,74 +332,6 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
   remove_local_files(*env.cluster, "out/kmeans/cluster");
   run.engine_result = run_ir(env, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
-  return run;
-}
-
-IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
-                                    const Params& params, uint32_t rounds,
-                                    bool use_cache) {
-  static constexpr const char* kVectorsDataset = "kmeans/vectors";
-  IterativeRunInfo run;
-  Stopwatch watch;
-  std::vector<std::string> centroid_lines = params.centroid_lines;
-  for (uint32_t round = 0; round < rounds; ++round) {
-    Stopwatch round_watch;
-    // The input is immutable across rounds; stamp the dataset with its size
-    // so a stale generation (different staged input) reads as a miss.
-    std::shared_ptr<const cache::Dataset> vectors =
-        use_cache && round > 0
-            ? env.dataset_cache->pin(kVectorsDataset, input.total_bytes)
-            : nullptr;
-
-    ir::Graph graph;
-    std::shared_ptr<cache::DatasetWriter> writer;
-    const auto gen = graph.add_map("ClusterGen", [&centroid_lines] {
-      return std::make_unique<ClusterGen>(centroid_lines);
-    });
-    graph.node(gen).effect = true;  // writes out/kmeans/cluster*
-    if (vectors) {
-      const auto loader = graph.add_source("VectorCacheScan", [vectors] {
-        return std::make_unique<cache::CachedScanLoader>(vectors);
-      });
-      graph.node(loader).splits = cache::scan_splits(*vectors);
-      // Shard n mirrors node n's file shard; the scan runs there, so the
-      // edge stays local without any partitioner.
-      graph.connect(loader, gen, engine::local_edge());
-    } else {
-      const auto loader = add_text_source(graph, "TextLoader", input);
-      engine::EdgeOptions edge = engine::local_edge();
-      if (use_cache) {
-        cache::PublishOptions options;
-        options.stamp = input.total_bytes;
-        writer = env.dataset_cache->begin(kVectorsDataset, options);
-        edge = cache::publish_tap(edge, writer);
-      }
-      graph.connect(loader, gen, edge);
-    }
-    const auto newc = graph.add_reduce(
-        "NewCentroidGen", [] { return std::make_unique<NewCentroidGen>(); });
-    const auto info_get = graph.add_map("NewCentroidInfoGet", [&input] {
-      return std::make_unique<NewCentroidInfoGet>(input.local_path);
-    });
-    const auto update = graph.add_map(
-        "CentroidUpdate", [] { return std::make_unique<CentroidUpdate>(); });
-    graph.node(update).effect = true;  // writes the new centroids
-    graph.connect(gen, newc);
-    graph.connect(newc, info_get);
-    graph.connect(info_get, update);
-
-    remove_local_files(*env.cluster, "out/kmeans/cluster");
-    run.engine_results.push_back(run_ir(env, std::move(graph)));
-    if (writer) writer->commit();
-    run.final_centroids = hamr_new_centroids(env);
-    centroid_lines.clear();
-    for (const auto& [cluster, line] : run.final_centroids) {
-      (void)cluster;
-      centroid_lines.push_back(line);
-    }
-    run.round_seconds.push_back(round_watch.elapsed_seconds());
-  }
-  run.seconds = watch.elapsed_seconds();
   return run;
 }
 

@@ -45,26 +45,6 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
                  bool ship_full_vectors = false);
 RunInfo run_baseline(BenchEnv& env, const StagedInput& input, const Params& params);
 
-// Multi-round driver over the dataset cache (DESIGN.md §15): round 0 reads
-// the staged text input and publishes the (offset, movie line) records as
-// cache dataset "kmeans/vectors" via the loader edge's tap - shard n mirrors
-// node n's local input shard, so rounds >= 1 scan the resident blocks over a
-// shuffle-free local edge and skip the disk read + line split entirely.
-// Offsets stay valid because the scan split for shard n runs on node n, where
-// the backing file lives. Each round recenters on the previous round's new
-// centroids. A pin miss (eviction/invalidation) falls back to the text file
-// transparently and republishes. `use_cache = false` re-reads the file every
-// round (the ablation baseline).
-struct IterativeRunInfo {
-  double seconds = 0;
-  std::vector<double> round_seconds;               // one per round
-  std::vector<engine::JobResult> engine_results;   // one per round
-  std::map<uint32_t, std::string> final_centroids; // after the last round
-};
-IterativeRunInfo run_hamr_iterative(BenchEnv& env, const StagedInput& input,
-                                    const Params& params, uint32_t rounds,
-                                    bool use_cache = true);
-
 // cluster id -> new centroid movie line.
 std::map<uint32_t, std::string> hamr_new_centroids(BenchEnv& env);
 std::map<uint32_t, std::string> baseline_new_centroids(BenchEnv& env);

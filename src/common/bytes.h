@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,21 +39,11 @@ class ByteBuffer {
   std::vector<uint8_t>& vec() { return data_; }
   const std::vector<uint8_t>& vec() const { return data_; }
 
-  // Moves the contents out as an immutable shared payload (used when a buffer
-  // is handed to the transport and may be delivered to several local readers).
-  std::shared_ptr<const std::vector<uint8_t>> release_shared() {
-    return std::make_shared<const std::vector<uint8_t>>(std::move(data_));
-  }
-
  private:
   std::vector<uint8_t> data_;
 };
 
 // Non-owning view of bytes with a read cursor; serde::Reader builds on it.
 using BytesView = std::string_view;
-
-inline BytesView as_view(const std::vector<uint8_t>& v) {
-  return {reinterpret_cast<const char*>(v.data()), v.size()};
-}
 
 }  // namespace hamr

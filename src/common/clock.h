@@ -17,8 +17,6 @@ inline double to_seconds(Duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(d).count();
 }
 
-inline double to_millis(Duration d) { return to_seconds(d) * 1e3; }
-
 inline Duration from_seconds(double s) {
   return std::chrono::duration_cast<Duration>(std::chrono::duration<double>(s));
 }

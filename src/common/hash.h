@@ -35,8 +35,6 @@ inline uint64_t hash_bytes(std::string_view bytes) {
   return mix64(fnv1a64(bytes.data(), bytes.size()));
 }
 
-inline uint64_t hash_u64(uint64_t value) { return mix64(value * 0x9e3779b97f4a7c15ULL); }
-
 inline uint64_t hash_combine(uint64_t a, uint64_t b) {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }

@@ -138,8 +138,7 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
       // combine key arenas) report into one engine.arena_bytes gauge.
       Gauge* arena_gauge = cluster_.node(n).metrics().gauge("engine.arena_bytes");
       if (gnode.kind == FlowletKind::kReduce) {
-        const uint32_t stages = std::max(1u, config_.reduce_subpartitions);
-        for (uint32_t s = 0; s < stages; ++s) {
+        for (uint32_t s = 0; s < internal::kReduceStages; ++s) {
           fs->stages.push_back(
               std::make_unique<internal::ReduceStage>(arena_gauge));
         }

@@ -59,19 +59,4 @@ bool TextLoader::load_chunk(const InputSplit& split, uint64_t* cursor,
   return true;
 }
 
-bool RateLimitedSource::load_chunk(const InputSplit& split, uint64_t* cursor,
-                                   Context& ctx) {
-  if (ctx.stream_stopping()) return false;
-  gate_.charge(records_per_chunk_);
-  std::string key, value;
-  for (uint64_t i = 0; i < records_per_chunk_; ++i) {
-    key.clear();
-    value.clear();
-    make_record(split, *cursor + i, &key, &value);
-    ctx.emit(0, key, value);
-  }
-  *cursor += records_per_chunk_;
-  return true;
-}
-
 }  // namespace hamr::engine

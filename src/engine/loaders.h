@@ -1,11 +1,7 @@
-// Built-in loader flowlets.
-//
-//  * TextLoader        - reads newline-delimited files from the node's local
-//                        store, emitting (byte offset, line) records in
-//                        fine-grain chunks (paper's TextLoader, Alg. 1/4).
-//  * RateLimitedSource - base class for streaming sources: synthesizes
-//                        records at a configured rate until the driver asks
-//                        streaming to stop.
+// Built-in loader flowlet: TextLoader reads newline-delimited files from the
+// node's local store, emitting (byte offset, line) records in fine-grain
+// chunks (paper's TextLoader, Alg. 1/4). Paced streaming sources live in the
+// stream layer (stream::GeneratorSource behind stream::SourceFlowlet).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +11,6 @@
 #include <string>
 
 #include "engine/flowlet.h"
-#include "engine/rate_gate.h"
 
 namespace hamr::engine {
 
@@ -42,28 +37,6 @@ class TextLoader : public LoaderFlowlet {
   const uint64_t lines_per_chunk_;
   std::mutex mu_;
   std::map<std::string, std::shared_ptr<CachedSplit>> cache_;
-};
-
-// Streaming source base: load_chunk() emits `records_per_chunk` synthetic
-// records per call, paced so the split's aggregate rate approximates
-// `records_per_sec`, until Context::stream_stopping(). Subclasses provide
-// the record content.
-class RateLimitedSource : public LoaderFlowlet {
- public:
-  RateLimitedSource(double records_per_sec, uint64_t records_per_chunk = 512)
-      : gate_(records_per_sec),
-        records_per_chunk_(records_per_chunk == 0 ? 1 : records_per_chunk) {}
-
-  bool load_chunk(const InputSplit& split, uint64_t* cursor, Context& ctx) final;
-
- protected:
-  // Produces record number `index` of `split` (monotonically increasing).
-  virtual void make_record(const InputSplit& split, uint64_t index,
-                           std::string* key, std::string* value) = 0;
-
- private:
-  RateGate gate_;
-  const uint64_t records_per_chunk_;
 };
 
 }  // namespace hamr::engine

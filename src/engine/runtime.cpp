@@ -19,12 +19,14 @@ namespace {
 // Control message kinds carried in kEngineControl payloads.
 constexpr uint64_t kCtlComplete = 1;
 
+// How long a task parked by flow control waits before it is resubmitted.
+constexpr Duration kDeferRetry = std::chrono::milliseconds(2);
+
 // Sub-partition / stripe selection must be independent of the node-partition
 // hash, or all of a node's keys would land in one stage.
-uint32_t stage_of(std::string_view key, uint32_t stages) {
-  return stages <= 1
-             ? 0
-             : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x5743) % stages);
+uint32_t stage_of(std::string_view key) {
+  return static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x5743) %
+                               internal::kReduceStages);
 }
 
 uint32_t stripe_of(std::string_view key, uint32_t stripes) {
@@ -568,7 +570,7 @@ void NodeRuntime::defer_task(FlowletId flowlet, int64_t tag,
   d.tag = tag;
   d.begin = now();
   d.task = std::move(task);
-  schedule_deferred(d.begin + config_.defer_retry, std::move(d));
+  schedule_deferred(d.begin + kDeferRetry, std::move(d));
 }
 
 void NodeRuntime::schedule_deferred(TimePoint due, DeferredTask&& d) {
@@ -884,15 +886,13 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
   // under a single lock acquisition. Bins carry hundreds of records, and the
   // per-record lock/unlock plus spill bookkeeping used to dominate the
   // shuffle receive path. Record views stay valid while `bin` is alive.
-  const uint32_t num_stages = std::max(1u, config_.reduce_subpartitions);
-  thread_local std::vector<std::vector<KvPair>> buckets;
-  if (buckets.size() < num_stages) buckets.resize(num_stages);
+  thread_local std::vector<std::vector<KvPair>> buckets(internal::kReduceStages);
   KvPair record;
   while (bin.next(&record)) {
-    buckets[stage_of(record.key, config_.reduce_subpartitions)].push_back(record);
+    buckets[stage_of(record.key)].push_back(record);
   }
 
-  for (uint32_t si = 0; si < num_stages; ++si) {
+  for (uint32_t si = 0; si < internal::kReduceStages; ++si) {
     std::vector<KvPair>& bucket = buckets[si];
     if (bucket.empty()) continue;
     internal::ReduceStage& stage = *fs.stages[si];
@@ -925,7 +925,7 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
       // Spill check per batch, not per record: the budget can overshoot by
       // at most one bin's worth of records.
       const uint64_t min_spill =
-          config_.memory_budget_bytes / (4ull * std::max(1u, config_.reduce_subpartitions));
+          config_.memory_budget_bytes / (4ull * internal::kReduceStages);
       if (staged_bytes_.load() > config_.memory_budget_bytes &&
           stage.bytes >= min_spill) {
         // Spill this stage: move its arena + index out wholesale and re-arm
@@ -961,9 +961,8 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
 void NodeRuntime::fire_reduce(FlowletId flowlet) {
   auto job = current_job();
   internal::FlowletState& fs = *job->flowlets[flowlet];
-  const uint32_t stages = std::max(1u, config_.reduce_subpartitions);
-  fs.reduce_tasks_outstanding.store(stages);
-  for (uint32_t si = 0; si < stages; ++si) {
+  fs.reduce_tasks_outstanding.store(internal::kReduceStages);
+  for (uint32_t si = 0; si < internal::kReduceStages; ++si) {
     submit_task([this, flowlet, si] { run_reduce_stage(flowlet, si); });
   }
 }

@@ -20,9 +20,9 @@
 // buffer full" rule.
 //
 // Fault tolerance (see DESIGN.md "Fault model & recovery"): with a fault
-// injector attached (or reliable_shuffle set), engine bins and control
-// messages travel as sequence-numbered frames over a per-(src,dst) reliable
-// channel - cumulative acks, timeout resend with exponential backoff, and
+// injector attached, engine bins and control messages to remote nodes travel
+// as sequence-numbered frames over a per-(src,dst) reliable channel -
+// cumulative acks, timeout resend with exponential backoff, and
 // receiver-side reordering + duplicate suppression that restores exactly the
 // per-channel FIFO the completion protocol relies on. Task crashes injected
 // at task start re-enqueue the task's bin (or split chunk / reduce stage)
@@ -78,6 +78,10 @@ inline uint64_t key_prefix(std::string_view key) {
   }
   return p;
 }
+
+// Parallel reduce streams per node (sub-partitions of the node's key range);
+// the fine-grain analog of multiple reduce slots.
+inline constexpr uint32_t kReduceStages = 4;
 
 // Reduce-input staging for one sub-partition of a node's key range: record
 // bytes live contiguously in a chunked arena, the index carries views plus a
@@ -319,9 +323,9 @@ class NodeRuntime {
                            TimePoint armed_at);
 
   // --- fault recovery ---
-  bool reliable() const {
-    return config_.fault_injector != nullptr || config_.reliable_shuffle;
-  }
+  // Remote shuffle traffic is framed exactly when the fabric can lose it:
+  // only an attached injector drops, duplicates or delays messages.
+  bool reliable() const { return config_.fault_injector != nullptr; }
   // True if this task execution must crash (injected) AND may still retry;
   // retries past the bound proceed (logged) so data is never silently lost.
   bool should_crash_task(FlowletId flowlet, uint32_t attempt);

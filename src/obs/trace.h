@@ -146,9 +146,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  // Fills in an id learned mid-span (e.g. bytes written, frame seq).
-  void set_aux(int64_t aux) { aux_ = aux; }
-
  private:
   bool active_;
   const char* name_ = "";

@@ -18,13 +18,6 @@
 
 namespace hamr::storage {
 
-struct KvRecord {
-  std::string key;
-  std::string value;
-
-  bool operator==(const KvRecord&) const = default;
-};
-
 // Encodes sorted records straight into the file's own buffer and moves it
 // into the store once on close(), so device cost is charged for the file's
 // full size exactly once (sequential write) and the bytes are never copied.

@@ -426,20 +426,33 @@ TEST(Chaos, ZeroFaultPlanRunsCleanlyOverReliableChannel) {
   EXPECT_GT(task_us->count, 0u);
 }
 
-TEST(Chaos, ReliableShuffleFlagWorksWithoutInjector) {
-  engine::EngineConfig cfg = engine::EngineConfig::fast();
-  cfg.reliable_shuffle = true;
-  apps::BenchEnv env =
-      apps::BenchEnv::make(cluster::ClusterConfig::fast(3), cfg);
+TEST(Chaos, ShuffleIsFramedExactlyWhenAnInjectorIsAttached) {
+  // Only an attached injector can drop, duplicate or delay messages, so it
+  // alone selects the seq/ack channel: the same 3-node WordCount sends no
+  // frames without one, and frames every remote message - without a single
+  // resend - under a zero-fault injector. Both runs stay exact.
   gen::TextSpec spec;
   spec.total_bytes = 48 * 1024;
-  auto shards = apps::make_shards(env.nodes(),
-                            [&](uint32_t i) { return gen::text_shard(spec, i, 3); });
-  auto staged = apps::stage_input(env, "wc_rel", shards, 16 * 1024);
+  const auto shards = apps::make_shards(
+      3, [&](uint32_t i) { return gen::text_shard(spec, i, 3); });
   const auto expected = apps::wordcount::reference(shards);
 
-  apps::wordcount::run_hamr(env, staged);
-  EXPECT_EQ(apps::wordcount::hamr_output(env), expected);
+  apps::BenchEnv plain = apps::BenchEnv::make(cluster::ClusterConfig::fast(3),
+                                              engine::EngineConfig::fast());
+  const auto plain_input = apps::stage_input(plain, "wc_plain", shards, 16 * 1024);
+  const auto unframed = apps::wordcount::run_hamr(plain, plain_input);
+  EXPECT_EQ(apps::wordcount::hamr_output(plain), expected);
+  EXPECT_EQ(unframed.engine_result.metrics.counter("engine.frames_sent"), 0u);
+
+  ChaosEnv chaos(fault::FaultPlan{}, /*nodes=*/3);
+  const auto chaos_input =
+      apps::stage_input(chaos.env, "wc_framed", shards, 16 * 1024);
+  const auto framed = apps::wordcount::run_hamr(chaos.env, chaos_input);
+  EXPECT_EQ(apps::wordcount::hamr_output(chaos.env), expected);
+  const obs::MetricsSnapshot& m = framed.engine_result.metrics;
+  EXPECT_GT(m.counter("engine.frames_sent"), 0u);
+  EXPECT_EQ(m.counter("engine.resends"), 0u);
+  EXPECT_EQ(m.counter("engine.dup_frames"), 0u);
 }
 
 TEST(Chaos, BackToBackJobsShareTheChannelState) {

@@ -3,6 +3,7 @@
 
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "engine/engine.h"
@@ -144,42 +145,22 @@ TEST(TextLoader, RespectsSplitRanges) {
   EXPECT_EQ(values, (std::multiset<std::string>{"aaaa", "bbbb", "cccc", "dddd"}));
 }
 
-TEST(RateLimitedSource, PacesEmissionRate) {
-  Env env(1);
-  class Source : public RateLimitedSource {
-   public:
-    Source() : RateLimitedSource(/*records_per_sec=*/2000, /*chunk=*/100) {}
-    void make_record(const InputSplit&, uint64_t index, std::string* key,
-                     std::string* value) override {
-      *key = std::to_string(index);
-      *value = "x";
-    }
-  };
-  FlowletGraph g;
-  auto source = g.add_loader("src", [] { return std::make_unique<Source>(); });
-  auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
-  g.connect(source, sink, local_edge());
-  JobInputs inputs;
-  inputs.add(source, InputSplit{});
-
-  Stopwatch watch;
-  const auto result = env.engine.run_streaming(g, inputs, millis(500));
-  const double elapsed = watch.elapsed_seconds();
-  EXPECT_GE(elapsed, 0.45);
-  // ~2000 rec/s for ~0.5 s => roughly 1000 records (chunked, so allow slack).
-  EXPECT_GT(result.metrics.counter("engine.records"), 500u);
-  EXPECT_LT(result.metrics.counter("engine.records"), 2500u);
-}
-
 TEST(Streaming, SourcesStopAndJobDrainsCompletely) {
   Env env(2);
-  class Source : public RateLimitedSource {
+  // Emits a 64-record chunk about once a millisecond until the driver asks
+  // streaming to stop.
+  class Source : public LoaderFlowlet {
    public:
-    Source() : RateLimitedSource(50000, 64) {}
-    void make_record(const InputSplit& split, uint64_t index, std::string* key,
-                     std::string* value) override {
-      *key = "n" + std::to_string(split.preferred_node);
-      *value = std::to_string(index);
+    bool load_chunk(const InputSplit& split, uint64_t* cursor,
+                    Context& ctx) override {
+      if (ctx.stream_stopping()) return false;
+      std::this_thread::sleep_for(millis(1));
+      const std::string key = "n" + std::to_string(split.preferred_node);
+      for (uint64_t i = 0; i < 64; ++i) {
+        ctx.emit(0, key, std::to_string(*cursor + i));
+      }
+      *cursor += 64;
+      return true;
     }
   };
   FlowletGraph g;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/queue.h"
 #include "fault/fault.h"
 #include "net/inproc_transport.h"
 #include "net/router.h"

@@ -14,6 +14,7 @@
 #include "apps/common.h"
 #include "common/random.h"
 #include "engine/runtime.h"
+#include "fault/fault.h"
 #include "query/row.h"
 #include "serde/batch.h"
 #include "sort/merge.h"
@@ -536,8 +537,11 @@ SortRun run_sort(apps::BenchEnv& env, const std::vector<std::string>& data,
 }  // namespace
 
 TEST(DistributedSort, ByteIdenticalToReferenceWithSpillsOverReliableShuffle) {
+  // A zero-fault injector selects the seq/ack channel without losing
+  // anything, so the shuffle below runs entirely over frames.
+  fault::FaultInjector injector{fault::FaultPlan{}};
   engine::EngineConfig cfg = engine::EngineConfig::fast();
-  cfg.reliable_shuffle = true;
+  cfg.fault_injector = &injector;
   apps::BenchEnv env =
       apps::BenchEnv::make(cluster::ClusterConfig::fast(4), cfg);
 

@@ -259,6 +259,24 @@ TEST(EventTimeWindows, BoundedReplayMatchesReferenceExactly) {
   EXPECT_GT(result.metrics.counter("stream.windows_emitted"), 0u);
 }
 
+TEST(GeneratorSource, PacesEmissionRate) {
+  StreamEnv env(1);
+  GeneratorConfig gen;  // unbounded: emits until the stream stops
+  gen.events_per_sec = 2000;
+  service::JobWork work = StreamService::make_work(
+      count_pipeline(gen, WindowSpec{}, "pace/out"), 1, nullptr);
+
+  Stopwatch watch;
+  const engine::JobResult result =
+      env.engine.run_streaming(work.graph, work.inputs, millis(500));
+  EXPECT_GE(watch.elapsed_seconds(), 0.45);
+  // ~2000 events/s for ~0.5 s => roughly 1000 events (chunked, so allow
+  // slack).
+  const uint64_t events = result.metrics.counter("stream.events_ingested");
+  EXPECT_GT(events, 500u);
+  EXPECT_LT(events, 2500u);
+}
+
 TEST(EventTimeWindows, SlidingWindowsCountEventsInEveryCover) {
   const uint32_t kNodes = 2;
   StreamEnv env(kNodes);
