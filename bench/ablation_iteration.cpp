@@ -75,9 +75,11 @@ int main(int argc, char** argv) {
     uint64_t cache_hits = 0;
     int rank_mismatches = 0;
   };
-  std::vector<Variant> variants = {{"reload edges each iteration"},
-                                   {"in-memory kv iterations"},
-                                   {"cached dataset iterations"}};
+  std::vector<Variant> variants;
+  for (const char* name : {"reload edges each iteration", "in-memory kv iterations",
+                           "cached dataset iterations"}) {
+    variants.emplace_back().name = name;
+  }
 
   for (uint32_t rep = 0; rep < reps; ++rep) {
     for (size_t v = 0; v < variants.size(); ++v) {

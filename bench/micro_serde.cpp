@@ -13,11 +13,10 @@
 #include "common/random.h"
 #include "engine/bin.h"
 #include "engine/flat_table.h"
-#include "engine/runtime.h"
 #include "query/row.h"
 #include "serde/batch.h"
-#include "serde/codec.h"
 #include "serde/serde.h"
+#include "storage/staged_runs.h"
 
 using namespace hamr;
 
@@ -84,19 +83,6 @@ static void BM_BinBuildAndScan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 512 * (3 + value.size()));
 }
 BENCHMARK(BM_BinBuildAndScan)->Arg(16)->Arg(256);
-
-static void BM_TypedVectorRoundTrip(benchmark::State& state) {
-  std::vector<std::pair<uint32_t, double>> vec;
-  for (int i = 0; i < 256; ++i) vec.emplace_back(i * 7, i * 0.5);
-  for (auto _ : state) {
-    const std::string bytes = serde::encode_to_string(vec);
-    auto decoded =
-        serde::decode_from<std::vector<std::pair<uint32_t, double>>>(bytes);
-    benchmark::DoNotOptimize(decoded.size());
-  }
-  state.SetItemsProcessed(state.iterations() * vec.size());
-}
-BENCHMARK(BM_TypedVectorRoundTrip);
 
 // --- combine accumulator layouts ---------------------------------------------
 //
@@ -192,21 +178,10 @@ BENCHMARK(BM_StagePairVectorAndSort);
 static void BM_StageArenaAndSort(benchmark::State& state) {
   const auto input = stage_input();
   for (auto _ : state) {
-    Arena arena;
-    std::vector<engine::internal::ReduceStage::Rec> index;
-    for (const auto& [k, v] : input) {
-      char* data = arena.alloc(k.size() + v.size());
-      std::memcpy(data, k.data(), k.size());
-      std::memcpy(data + k.size(), v.data(), v.size());
-      engine::internal::ReduceStage::Rec rec;
-      rec.prefix = engine::internal::key_prefix(k);
-      rec.key_len = static_cast<uint32_t>(k.size());
-      rec.value_len = static_cast<uint32_t>(v.size());
-      rec.data = data;
-      index.push_back(rec);
-    }
-    engine::internal::sort_recs(&index);
-    benchmark::DoNotOptimize(index.size());
+    storage::StagedRuns staged;
+    for (const auto& [k, v] : input) staged.stage(k, v);
+    auto merge = staged.merge();  // sorts the staged records
+    benchmark::DoNotOptimize(merge.fan_in());
   }
   state.SetItemsProcessed(state.iterations() * kStageRecords);
 }

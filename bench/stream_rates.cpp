@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
     gen.jitter_us = 50;
     gen.seed = 1000 + lane;
     gen.events_per_sec = rate;
-    gen.make = [keys](uint64_t i, std::string* key, std::string* value) {
+    gen.make = [keys](const engine::InputSplit&, uint64_t i, std::string* key,
+                      std::string* value) {
       *key = "k" + std::to_string(i % keys);
       *value = "1";
     };

@@ -6,8 +6,8 @@
 //
 // Every run is validated byte-for-byte against a single-threaded std::sort
 // of the same dataset - the bench exits non-zero on any mismatch, including
-// under --chaos (message drops + task crashes over the reliable channel, which
-// must also re-copy no shuffle frame).
+// under --chaos (message drops + task crashes over the reliable channel), and
+// on any shuffle frame the chaos run re-copies, with a message of its own.
 //
 //   terasort --nodes=8 --threads=4 --records=200000 --chaos
 //            --metrics_json=bench_terasort.json --trace=terasort_trace.json
@@ -140,17 +140,17 @@ int main(int argc, char** argv) {
 
   std::printf("TeraSort: %zu records, %.1f MB, budget %llu KB\n\n", records,
               total_bytes / 1e6, static_cast<unsigned long long>(budget / 1024));
-  std::printf("%7s %9s %9s %10s %10s %8s\n", "Nodes", "Time(s)", "GB/s",
-              "FrameCopy", "SpillRuns", "Check");
+  std::printf("%7s %9s %9s %10s %8s\n", "Nodes", "Time(s)", "GB/s",
+              "SpillRuns", "Check");
 
   bool all_ok = true;
+  uint64_t frame_copies = 0;
   for (uint32_t n = 1; n <= setup.nodes; n *= 2) {
     const RunResult r = run_once(n, setup.threads, /*injector=*/nullptr, data,
                                  expected, budget);
     all_ok = all_ok && r.ok;
-    std::printf("%7u %9.3f %9.3f %10llu %10llu %8s\n", n, r.seconds,
+    std::printf("%7u %9.3f %9.3f %10llu %8s\n", n, r.seconds,
                 total_bytes / 1e9 / r.seconds,
-                static_cast<unsigned long long>(r.frame_copies),
                 static_cast<unsigned long long>(r.spill_runs),
                 r.ok ? "ok" : "MISMATCH");
     std::fflush(stdout);
@@ -166,24 +166,26 @@ int main(int argc, char** argv) {
     const RunResult r = run_once(setup.nodes, setup.threads, &injector, data,
                                  expected, budget);
     all_ok = all_ok && r.ok;
-    std::printf("%6uc %9.3f %9.3f %10llu %10llu %8s  (5%% drop, 2%% crash)\n",
-                setup.nodes, r.seconds, total_bytes / 1e9 / r.seconds,
-                static_cast<unsigned long long>(r.frame_copies),
-                static_cast<unsigned long long>(r.spill_runs),
-                r.ok ? "ok" : "MISMATCH");
     // Zero-copy invariant: frames over the reliable channel share the pooled
     // bin buffer; any re-copy at serialize/enqueue/resend bumps the counter.
-    if (r.frame_copies != 0) {
-      std::fprintf(stderr, "FAIL: %llu shuffle frame copies on zero-copy path\n",
-                   static_cast<unsigned long long>(r.frame_copies));
-      all_ok = false;
-    }
+    // Only this run frames its shuffle, because only it has an injector.
+    frame_copies = r.frame_copies;
+    std::printf("%6uc %9.3f %9.3f %10llu %8s  (5%% drop, 2%% crash, "
+                "%llu frame copies)\n",
+                setup.nodes, r.seconds, total_bytes / 1e9 / r.seconds,
+                static_cast<unsigned long long>(r.spill_runs),
+                r.ok ? "ok" : "MISMATCH",
+                static_cast<unsigned long long>(frame_copies));
   }
 
   finish_observability(setup);
   if (!all_ok) {
     std::fprintf(stderr, "terasort: output mismatch vs std::sort reference\n");
-    return 1;
   }
-  return 0;
+  if (frame_copies != 0) {
+    std::fprintf(stderr,
+                 "terasort: %llu shuffle frame copies on the zero-copy path\n",
+                 static_cast<unsigned long long>(frame_copies));
+  }
+  return all_ok && frame_copies == 0 ? 0 : 1;
 }

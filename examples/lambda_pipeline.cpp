@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
   stream::GeneratorConfig live;  // unbounded: runs until the stream stops
   live.events_per_sec = kLiveRate;
   live.period_us = std::llround(1e6 / kLiveRate);
-  live.make = [zipf](uint64_t index, std::string* key, std::string* value) {
-    Rng rng(index);
+  live.make = [zipf](const engine::InputSplit& split, uint64_t index,
+                     std::string* key, std::string* value) {
+    Rng rng(split.preferred_node * 31 + index);  // a distinct stream per node
     *key = "w" + std::to_string(zipf->sample(rng));
     *value = "1";
   };

@@ -59,7 +59,9 @@ int main(int argc, char** argv) {
     acc = std::to_string(have + std::stoull(std::string(value)));
   };
 
-  auto ticket = streams.start(std::move(p), {.job = {.tenant = "demo"}});
+  stream::StreamSpec spec;
+  spec.job.tenant = "demo";
+  auto ticket = streams.start(std::move(p), spec);
   std::printf("stream %llu started (%u nodes, tumbling %lld ms windows)\n\n",
               static_cast<unsigned long long>(ticket->id()), nodes,
               static_cast<long long>(window_ms));
@@ -69,7 +71,8 @@ int main(int argc, char** argv) {
   for (int64_t tick = 0; tick < seconds * 4; ++tick) {
     std::this_thread::sleep_for(millis(250));
     const auto prog = ticket->poll();
-    std::printf("%6lldms %12llu %10llu %10llu %12lldus\n", tick * 250 + 250,
+    std::printf("%6lldms %12llu %10llu %10llu %12lldus\n",
+                static_cast<long long>(tick * 250 + 250),
                 static_cast<unsigned long long>(prog.events_ingested),
                 static_cast<unsigned long long>(prog.windows_emitted),
                 static_cast<unsigned long long>(prog.results_emitted),

@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
   gen.total_events = 0;  // unbounded: runs until drained
   gen.period_us = std::max<int64_t>(1, std::llround(1e6 / rate));
   gen.events_per_sec = rate;
-  gen.make = [zipf](uint64_t index, std::string* key, std::string* value) {
-    Rng rng(index);
+  gen.make = [zipf](const engine::InputSplit& split, uint64_t index,
+                    std::string* key, std::string* value) {
+    Rng rng(split.preferred_node * 31 + index);  // a distinct stream per node
     *key = "topic" + std::to_string(zipf->sample(rng));
     *value = "1";
   };

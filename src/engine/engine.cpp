@@ -140,7 +140,8 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
       if (gnode.kind == FlowletKind::kReduce) {
         for (uint32_t s = 0; s < internal::kReduceStages; ++s) {
           fs->stages.push_back(
-              std::make_unique<internal::ReduceStage>(arena_gauge));
+              std::make_unique<internal::ReduceStage>(
+                  &cluster_.node(n).store(), arena_gauge));
         }
       }
       if (gnode.kind == FlowletKind::kPartialReduce) {

@@ -1,15 +1,14 @@
 #include "engine/runtime.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "engine/engine.h"
 #include "fault/fault.h"
 #include "obs/trace.h"
-#include "sort/merge.h"
 #include "storage/run_file.h"
 
 namespace hamr::engine {
@@ -43,71 +42,6 @@ Duration backoff_after(Duration base, Duration cap, uint32_t attempt) {
 }
 
 }  // namespace
-
-uint64_t internal::run_file_bytes(const std::vector<ReduceStage::Rec>& recs) {
-  uint64_t bytes = 0;
-  for (const ReduceStage::Rec& r : recs) {
-    bytes += storage::RunWriter::record_bytes(r.key_len, r.value_len);
-  }
-  return bytes;
-}
-
-void internal::sort_recs(std::vector<ReduceStage::Rec>* recs) {
-  using Rec = ReduceStage::Rec;
-  const size_t n = recs->size();
-  // Below this the comparison sort is faster: eight histograms and up to
-  // eight 256-bucket passes cost more than n log n compares until about
-  // 600-700 records (random, decimal and word keys alike).
-  constexpr size_t kRadixMin = 768;
-  if (n < kRadixMin) {
-    std::stable_sort(recs->begin(), recs->end(), reduce_rec_less);
-    return;
-  }
-
-  // One read pass fills the histogram of every prefix byte (byte 0 is the
-  // least significant) and decides whether the tie pass can be skipped.
-  std::array<std::array<size_t, 256>, 8> counts{};
-  uint32_t min_len = UINT32_MAX;
-  uint32_t max_len = 0;
-  for (const Rec& r : *recs) {
-    for (int b = 0; b < 8; ++b) ++counts[b][(r.prefix >> (8 * b)) & 0xff];
-    min_len = std::min(min_len, r.key_len);
-    max_len = std::max(max_len, r.key_len);
-  }
-
-  std::vector<Rec> scratch(n);
-  Rec* src = recs->data();
-  Rec* dst = scratch.data();
-  for (int b = 0; b < 8; ++b) {
-    std::array<size_t, 256>& count = counts[b];
-    const int shift = 8 * b;
-    if (count[(src[0].prefix >> shift) & 0xff] == n) continue;  // constant byte
-    size_t offset = 0;
-    for (size_t& c : count) {
-      const size_t bucket = c;
-      c = offset;
-      offset += bucket;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dst[count[(src[i].prefix >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != recs->data()) recs->swap(scratch);
-
-  // Equal prefixes and equal lengths of at most 8 bytes mean equal keys.
-  if (max_len <= 8 && min_len == max_len) return;
-  const auto key_less = [](const Rec& a, const Rec& b) { return a.key() < b.key(); };
-  Rec* a = recs->data();
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && a[j].prefix == a[i].prefix) ++j;
-    if (j - i > 1 && !std::is_sorted(a + i, a + j, key_less)) {
-      std::stable_sort(a + i, a + j, key_less);
-    }
-    i = j;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // TaskContext: the Context implementation handed to flowlet code for the
@@ -901,25 +835,10 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
       batch_bytes += r.key.size() + r.value.size() + 16;
     }
     uint64_t spill_bytes = 0;
-    Arena spill_arena;
-    std::vector<internal::ReduceStage::Rec> to_spill;
-    std::string spill_file;
+    storage::SpillBatch spill;
     {
       std::lock_guard<std::mutex> lock(stage.mu);
-      for (const KvPair& r : bucket) {
-        // One arena bump holds key and value contiguously; the index entry
-        // caches an 8-byte key prefix so the pre-reduce sort is mostly
-        // integer compares.
-        char* data = stage.arena.alloc(r.key.size() + r.value.size());
-        std::memcpy(data, r.key.data(), r.key.size());
-        std::memcpy(data + r.key.size(), r.value.data(), r.value.size());
-        internal::ReduceStage::Rec rec;
-        rec.prefix = internal::key_prefix(r.key);
-        rec.key_len = static_cast<uint32_t>(r.key.size());
-        rec.value_len = static_cast<uint32_t>(r.value.size());
-        rec.data = data;
-        stage.index.push_back(rec);
-      }
+      for (const KvPair& r : bucket) stage.runs.stage(r.key, r.value);
       stage.bytes += batch_bytes;
       staged_bytes_.fetch_add(batch_bytes);
       // Spill check per batch, not per record: the budget can overshoot by
@@ -928,29 +847,18 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
           config_.memory_budget_bytes / (4ull * internal::kReduceStages);
       if (staged_bytes_.load() > config_.memory_budget_bytes &&
           stage.bytes >= min_spill) {
-        // Spill this stage: move its arena + index out wholesale and re-arm
-        // an empty arena (the gauge charge moves with the old one).
-        spill_arena = std::move(stage.arena);
-        stage.arena = Arena(arena_bytes_g_);
-        to_spill.swap(stage.index);
+        spill = stage.runs.take_batch(
+            spill_path(flowlet, si, stage.runs.runs().size()));
         spill_bytes = stage.bytes;
         stage.bytes = 0;
-        spill_file = spill_path(flowlet, si, stage.next_spill++);
-        stage.spill_paths.push_back(spill_file);
       }
     }
     bucket.clear();
-    if (!to_spill.empty()) {
+    if (!spill.empty()) {
       staged_bytes_.fetch_sub(spill_bytes);
       obs::TraceSpan span("spill.write", "engine.spill", node_id(), flowlet,
                           static_cast<int64_t>(spill_bytes));
-      internal::sort_recs(&to_spill);
-      storage::RunWriter writer(&node_->store(), spill_file,
-                                internal::run_file_bytes(to_spill));
-      for (const internal::ReduceStage::Rec& r : to_spill) {
-        writer.add(r.key(), r.value());
-      }
-      write_spill_with_retry(writer);
+      spill.write([this](storage::RunWriter& w) { write_spill_with_retry(w); });
       spill_runs_c_->inc();
       log_event(obs::EventKind::kSpill, flowlet,
                 static_cast<int64_t>(spill_bytes));
@@ -991,109 +899,38 @@ void NodeRuntime::run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
   internal::ReduceStage& stage = *fs.stages[stage_index];
   auto* red = static_cast<ReduceFlowlet*>(fs.instance.get());
 
-  // Cancelled job: skip the sort/merge but still release staged memory,
-  // drop spill runs, and cascade so the completion protocol finishes.
-  if (job_cancelled()) {
-    staged_bytes_.fetch_sub(stage.bytes);
-    stage.bytes = 0;
-    stage.index.clear();
-    stage.index.shrink_to_fit();
-    stage.arena.clear();
-    for (const std::string& path : stage.spill_paths) {
-      (void)node_->store().remove(path);
-    }
-    stage.spill_paths.clear();
-    if (fs.reduce_tasks_outstanding.fetch_sub(1) == 1) {
-      submit_task([this, flowlet] { run_finish(flowlet); });
-    }
-    return;
-  }
-
+  // A cancelled job skips the merge but still releases staged memory,
+  // deletes the spill runs and cascades, so the completion protocol finishes.
+  const bool cancelled = job_cancelled();
   const TimePoint reduce_t0 = now();
-  obs::TraceSpan reduce_span("task.reduce", "engine.task", node_id(), flowlet,
-                             static_cast<int64_t>(stage_index));
-
-  // No staging lock needed: every bin was staged (upstream complete) before
-  // the reduce fires. Stable: same-key records keep arrival order.
-  internal::sort_recs(&stage.index);
-
-  {
+  std::optional<obs::TraceSpan> reduce_span;
+  if (!cancelled) {
+    reduce_span.emplace("task.reduce", "engine.task", node_id(), flowlet,
+                        static_cast<int64_t>(stage_index));
+    // No staging lock needed: every bin was staged (upstream complete)
+    // before the reduce fires. The merge yields same-key records in arrival
+    // order, grouped by key for reduce().
     TaskContext ctx(this, job.get(), flowlet);
-
-    // Merge in-memory records with any spilled sorted runs through a loser
-    // tree (O(log k) per record instead of a linear best-of-k scan), group
-    // by key, and hand each group to reduce(). The in-memory run goes last:
-    // the tree breaks ties toward smaller source indices, so spill order
-    // followed by memory reproduces stable arrival order.
-    struct Source {
-      std::unique_ptr<storage::RunReader> reader;  // null => memory source
-      const std::vector<internal::ReduceStage::Rec>* mem = nullptr;
-      size_t mem_pos = 0;
-      bool next(std::string_view* key, std::string_view* value) {
-        if (reader) return reader->next(key, value);
-        if (mem_pos >= mem->size()) return false;
-        const internal::ReduceStage::Rec& r = (*mem)[mem_pos++];
-        *key = r.key();
-        *value = r.value();
-        return true;
-      }
-    };
-    std::vector<Source> sources;
-    sources.reserve(stage.spill_paths.size() + 1);
-    for (const std::string& path : stage.spill_paths) {
-      Source s;
-      s.reader = std::make_unique<storage::RunReader>(&node_->store(), path);
-      sources.push_back(std::move(s));
-    }
-    Source mem;
-    mem.mem = &stage.index;
-    sources.push_back(std::move(mem));
-    merge_fan_in_h_->observe(sources.size());
-    sort::LoserTree<Source> tree(std::move(sources));
-
-    std::string current_key;
-    std::vector<std::string_view> values;
-    bool have_group = false;
-    auto flush_group = [&] {
-      if (have_group) {
-        red->reduce(current_key, values, ctx);
-        values.clear();
-        have_group = false;
-      }
-    };
-
-    // The accumulated value views stay valid across tree.next() calls: run
-    // readers and the arena index both back their views with storage that
-    // lives for the whole merge.
-    std::string_view key, value;
-    while (tree.next(&key, &value)) {
-      if (!have_group || key != current_key) {
-        flush_group();
-        current_key.assign(key);
-        have_group = true;
-      }
-      values.push_back(value);
-    }
-    flush_group();
+    auto merge = stage.runs.merge();
+    merge_fan_in_h_->observe(merge.fan_in());
+    storage::merge_groups(merge, [&](std::string_view key,
+                                     const std::vector<std::string_view>& values) {
+      red->reduce(key, values, ctx);
+    });
   }
 
   // Release staged memory (the arena drops its chunks wholesale and
-  // un-charges engine.arena_bytes).
+  // un-charges engine.arena_bytes) and delete the spill runs.
   staged_bytes_.fetch_sub(stage.bytes);
   stage.bytes = 0;
-  stage.index.clear();
-  stage.index.shrink_to_fit();
-  stage.arena.clear();
-  for (const std::string& path : stage.spill_paths) {
-    (void)node_->store().remove(path);
+  stage.runs.clear();
+
+  if (!cancelled) {
+    const auto stage_us =
+        static_cast<uint64_t>((now() - reduce_t0).count() / 1000);
+    task_us_h_->observe(stage_us);
+    if (fs.task_us != nullptr) fs.task_us->observe(stage_us);
   }
-  stage.spill_paths.clear();
-
-  const auto stage_us =
-      static_cast<uint64_t>((now() - reduce_t0).count() / 1000);
-  task_us_h_->observe(stage_us);
-  if (fs.task_us != nullptr) fs.task_us->observe(stage_us);
-
   if (fs.reduce_tasks_outstanding.fetch_sub(1) == 1) {
     submit_task([this, flowlet] { run_finish(flowlet); });
   }

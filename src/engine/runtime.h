@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/arena.h"
 #include "common/metrics.h"
 #include "common/pool.h"
 #include "engine/config.h"
@@ -55,10 +54,7 @@
 #include "engine/split.h"
 #include "net/payload.h"
 #include "obs/event_log.h"
-
-namespace hamr::storage {
-class RunWriter;
-}  // namespace hamr::storage
+#include "storage/staged_runs.h"
 
 namespace hamr::engine {
 
@@ -67,69 +63,22 @@ class TaskContext;
 
 namespace internal {
 
-// Big-endian 8-byte key prefix: integer compare of prefixes orders exactly
-// like the lexicographic compare of the first 8 key bytes, so the staging
-// sort only touches key bytes on a prefix tie.
-inline uint64_t key_prefix(std::string_view key) {
-  uint64_t p = 0;
-  const size_t n = key.size() < 8 ? key.size() : 8;
-  for (size_t i = 0; i < n; ++i) {
-    p |= static_cast<uint64_t>(static_cast<uint8_t>(key[i])) << (56 - 8 * i);
-  }
-  return p;
-}
-
 // Parallel reduce streams per node (sub-partitions of the node's key range);
 // the fine-grain analog of multiple reduce slots.
 inline constexpr uint32_t kReduceStages = 4;
 
-// Reduce-input staging for one sub-partition of a node's key range: record
-// bytes live contiguously in a chunked arena, the index carries views plus a
-// cached key prefix, so staging a record is one arena bump + one index push
-// (the old layout allocated two std::strings per record) and the pre-reduce
-// sort compares 8-byte integers instead of dereferencing two heap strings.
+// Reduce-input staging for one sub-partition of a node's key range: the
+// staged records and spill runs (storage::StagedRuns), guarded by `mu`
+// while bins stage, plus the bytes this stage charges to the node-wide
+// staging budget.
 struct ReduceStage {
-  // One staged record: key bytes at [data, data+key_len), value bytes
-  // immediately after.
-  struct Rec {
-    uint64_t prefix = 0;
-    uint32_t key_len = 0;
-    uint32_t value_len = 0;
-    const char* data = nullptr;
-    std::string_view key() const { return {data, key_len}; }
-    std::string_view value() const { return {data + key_len, value_len}; }
-  };
-
-  explicit ReduceStage(Gauge* arena_gauge) : arena(arena_gauge) {}
+  ReduceStage(storage::FileStore* store, Gauge* arena_gauge)
+      : runs(store, arena_gauge) {}
 
   std::mutex mu;
-  Arena arena;
-  std::vector<Rec> index;
+  storage::StagedRuns runs;
   uint64_t bytes = 0;
-  std::vector<std::string> spill_paths;
-  uint64_t next_spill = 0;
 };
-
-// Orders staged records by key (prefix first); stable sorts with it keep
-// same-key values in arrival order, exactly like the old pair-sort.
-inline bool reduce_rec_less(const ReduceStage::Rec& a, const ReduceStage::Rec& b) {
-  if (a.prefix != b.prefix) return a.prefix < b.prefix;
-  return a.key() < b.key();
-}
-
-// The one sort of staged records (reduce-stage spill and pre-reduce sort,
-// sort-sink spill and finish). Leaves *recs exactly as
-// std::stable_sort(..., reduce_rec_less) would: an LSD radix sort over the
-// 8-byte prefix, skipping every byte that is equal in all records, then a
-// stable key compare only inside runs of equal prefix that the prefix does
-// not decide (a key longer than 8 bytes, or keys of different lengths:
-// "a" and "a\0" share a prefix). Both passes are stable, so same-key records
-// keep arrival order. The scratch buffer lives for the call only.
-void sort_recs(std::vector<ReduceStage::Rec>* recs);
-
-// Exact run-file size of `recs` once written: the RunWriter size hint of a
-// spill or of a merge that re-encodes them.
-uint64_t run_file_bytes(const std::vector<ReduceStage::Rec>& recs);
 
 // Node-shared partial-reduce accumulator table, striped. Each stripe models
 // one contended shared-variable set (see RateGate). The accumulator map is a

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "storage/run_file.h"
+#include "storage/staged_runs.h"
 
 namespace hamr::mapreduce {
 
@@ -382,51 +383,18 @@ void JobRunner::run_reduce_task(const MrJobConfig& config, JobScratch& job,
     local_runs.assign(1, merged);
   }
 
-  // Merge + group + reduce.
+  // Merge + group + reduce: the loser tree breaks key ties toward the
+  // earlier run, so same-key values keep segment order.
   OutputCollector out(my_node, cluster_.size());
   std::unique_ptr<Reducer> reducer = reducer_factory();
-  if (!local_runs.empty()) {
-    std::vector<storage::RunReader> readers;
-    readers.reserve(local_runs.size());
-    for (const std::string& path : local_runs) readers.emplace_back(&node.store(), path);
-
-    struct Head {
-      std::string_view key, value;
-      size_t idx;
-      bool done = true;
-    };
-    std::vector<Head> heads(readers.size());
-    for (size_t i = 0; i < readers.size(); ++i) {
-      heads[i].idx = i;
-      heads[i].done = !readers[i].next(&heads[i].key, &heads[i].value);
-    }
-    std::string current_key;
-    std::vector<std::string_view> values;
-    bool have_group = false;
-    auto flush = [&] {
-      if (have_group) {
-        reducer->reduce(current_key, values, out);
-        values.clear();
-        have_group = false;
-      }
-    };
-    for (;;) {
-      Head* best = nullptr;
-      for (auto& h : heads) {
-        if (h.done) continue;
-        if (best == nullptr || h.key < best->key) best = &h;
-      }
-      if (best == nullptr) break;
-      if (!have_group || best->key != current_key) {
-        flush();
-        current_key.assign(best->key);
-        have_group = true;
-      }
-      values.push_back(best->value);
-      best->done = !readers[best->idx].next(&best->key, &best->value);
-    }
-    flush();
-  }
+  std::vector<storage::RunReader> readers;
+  readers.reserve(local_runs.size());
+  for (const std::string& path : local_runs) readers.emplace_back(&node.store(), path);
+  storage::LoserTree<storage::RunReader> merge(std::move(readers));
+  storage::merge_groups(merge, [&](std::string_view key,
+                                   const std::vector<std::string_view>& values) {
+    reducer->reduce(key, values, out);
+  });
 
   // Output to DFS (text part file), even when empty - Hadoop writes empty
   // part files too, and chained jobs stat them.

@@ -1,28 +1,22 @@
 #include "sort/sort.h"
 
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "engine/runtime.h"
 #include "ir/lower.h"
 #include "ir/passes.h"
 #include "obs/trace.h"
 #include "serde/batch.h"
-#include "sort/merge.h"
 #include "storage/run_file.h"
+#include "storage/staged_runs.h"
 
 namespace hamr::sort {
 
 namespace {
-
-using engine::internal::key_prefix;
-using Rec = engine::internal::ReduceStage::Rec;
 
 // Streams the node-local framed input file in record chunks. One split per
 // node covers the whole file; the cursor is the byte offset into it.
@@ -70,129 +64,72 @@ class SortRunLoader : public engine::LoaderFlowlet {
   storage::FileBuffer data_;
 };
 
-// Receives this node's key range, staging records through an arena + prefix
-// index, spilling sorted runs past the budget, and loser-tree merging
-// everything into the node's output partition at finish.
+// Receives this node's key range, staging records through storage::StagedRuns,
+// spilling sorted runs past the sink's own budget, and merging everything
+// into the node's output partition at finish.
 class SortSink : public engine::MapFlowlet {
  public:
   explicit SortSink(SortSpec spec) : spec_(std::move(spec)) {}
 
   void process(const engine::KvPair& record, engine::Context& ctx) override {
-    // Stage under the sink lock: one arena bump holds the record, the index
-    // entry caches the 8-byte key prefix so run sorts are mostly integer
-    // compares. Spill state is moved out wholesale while locked and sorted /
-    // written outside the lock.
-    Arena spill_arena;
-    std::vector<Rec> to_spill;
-    std::string spill_file;
+    // Stage under the sink lock; a spill batch is moved out while locked and
+    // sorted / written outside the lock.
+    storage::SpillBatch spill;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      wire_metrics(ctx);
-      char* data = arena_.alloc(record.key.size() + record.value.size());
-      std::memcpy(data, record.key.data(), record.key.size());
-      std::memcpy(data + record.key.size(), record.value.data(),
-                  record.value.size());
-      Rec rec;
-      rec.prefix = key_prefix(record.key);
-      rec.key_len = static_cast<uint32_t>(record.key.size());
-      rec.value_len = static_cast<uint32_t>(record.value.size());
-      rec.data = data;
-      index_.push_back(rec);
-      bytes_ += record.key.size() + record.value.size() + sizeof(Rec);
+      wire(ctx);
+      staged_.stage(record.key, record.value);
+      bytes_ += record.key.size() + record.value.size() + sizeof(storage::Rec);
       if (bytes_ >= spec_.memory_budget_bytes) {
-        spill_arena = std::move(arena_);
-        arena_ = Arena(arena_gauge_);
-        to_spill.swap(index_);
+        spill = staged_.take_batch(spill_path(ctx.node(), staged_.runs().size()));
         bytes_ = 0;
-        spill_file = spill_path(ctx.node(), next_spill_++);
-        spill_paths_.push_back(spill_file);
       }
     }
-    if (!to_spill.empty()) {
+    if (!spill.empty()) {
       obs::TraceSpan span("sort.spill", "sort", ctx.node(), -1,
-                          static_cast<int64_t>(to_spill.size()));
-      engine::internal::sort_recs(&to_spill);
-      storage::RunWriter writer(&ctx.local_store(), spill_file,
-                                engine::internal::run_file_bytes(to_spill));
-      for (const Rec& r : to_spill) writer.add(r.key(), r.value());
-      writer.close();
+                          static_cast<int64_t>(spill.recs.size()));
+      spill.write([](storage::RunWriter& w) { w.close(); });
       spill_runs_c_->inc();
     }
   }
 
   void finish(engine::Context& ctx) override {
-    // Upstream complete: no process() can race this. Sort the in-memory
-    // remainder and merge it with the spill runs through the loser tree.
+    // Upstream complete: no process() can race this.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      wire_metrics(ctx);  // a node may receive zero records for its range
+      wire(ctx);  // a node may receive zero records for its range
     }
     obs::TraceSpan span("sort.merge", "sort", ctx.node(), -1,
-                        static_cast<int64_t>(spill_paths_.size()));
-    engine::internal::sort_recs(&index_);
-
-    struct Source {
-      std::unique_ptr<storage::RunReader> reader;  // null => memory source
-      const std::vector<Rec>* mem = nullptr;
-      size_t mem_pos = 0;
-      bool next(std::string_view* key, std::string_view* value) {
-        if (reader) return reader->next(key, value);
-        if (mem_pos >= mem->size()) return false;
-        const Rec& r = (*mem)[mem_pos++];
-        *key = r.key();
-        *value = r.value();
-        return true;
-      }
-    };
-    // The merged partition re-encodes every record unchanged: its exact size
-    // is the spill runs plus the in-memory records' encoded size.
-    uint64_t out_bytes = engine::internal::run_file_bytes(index_);
-    std::vector<Source> sources;
-    sources.reserve(spill_paths_.size() + 1);
-    for (const std::string& path : spill_paths_) {
-      Source s;
-      s.reader = std::make_unique<storage::RunReader>(&ctx.local_store(), path);
-      out_bytes += s.reader->size();
-      sources.push_back(std::move(s));
-    }
-    Source mem;
-    mem.mem = &index_;
-    sources.push_back(std::move(mem));
-    merge_fan_in_h_->observe(sources.size());
-
-    LoserTree<Source> tree(std::move(sources));
+                        static_cast<int64_t>(staged_.runs().size()));
+    // The merged partition re-encodes every record unchanged, so its exact
+    // size is known up front.
     storage::RunWriter out(&ctx.local_store(),
                            spec_.output_prefix + "/p" + std::to_string(ctx.node()),
-                           out_bytes);
+                           staged_.merged_bytes());
+    auto merge = staged_.merge();
+    merge_fan_in_h_->observe(merge.fan_in());
     std::string_view key, value;
     uint64_t records = 0;
-    while (tree.next(&key, &value)) {
+    while (merge.next(&key, &value)) {
       out.add(key, value);
       ++records;
     }
     out.close();
     ctx.metrics().counter("sort.records_out")->add(records);
-
-    index_.clear();
-    index_.shrink_to_fit();
-    arena_.clear();
-    for (const std::string& path : spill_paths_) {
-      (void)ctx.local_store().remove(path);
-    }
-    spill_paths_.clear();
+    staged_.clear();
   }
 
  private:
   // Called under mu_. Bins can arrive and be processed before this node's
   // activate_job has run the flowlet's start() hook (cross-node activation
-  // is not barriered), so the metric wiring happens lazily on the first
-  // record instead of in start() - and the arena is NEVER reassigned once a
-  // record has been staged into it.
-  void wire_metrics(engine::Context& ctx) {
+  // is not barriered), so the store, metric and arena wiring happens lazily
+  // on the first record instead of in start() - and the staging arena is
+  // NEVER reassigned once a record has been staged into it.
+  void wire(engine::Context& ctx) {
     if (wired_) return;
     wired_ = true;
-    arena_gauge_ = ctx.metrics().gauge("engine.arena_bytes");
-    arena_ = Arena(arena_gauge_);  // safe: nothing staged yet
+    staged_ = storage::StagedRuns(&ctx.local_store(),
+                                  ctx.metrics().gauge("engine.arena_bytes"));
     spill_runs_c_ = ctx.metrics().counter("sort.spill_runs");
     merge_fan_in_h_ = ctx.metrics().histogram("sort.merge_fan_in");
   }
@@ -204,15 +141,11 @@ class SortSink : public engine::MapFlowlet {
 
   SortSpec spec_;
   bool wired_ = false;
-  Gauge* arena_gauge_ = nullptr;
   Counter* spill_runs_c_ = nullptr;
   Histogram* merge_fan_in_h_ = nullptr;
   std::mutex mu_;
-  Arena arena_;
-  std::vector<Rec> index_;
-  uint64_t bytes_ = 0;
-  std::vector<std::string> spill_paths_;
-  uint64_t next_spill_ = 0;
+  storage::StagedRuns staged_;
+  uint64_t bytes_ = 0;  // staged since the last spill, charged per record
 };
 
 }  // namespace

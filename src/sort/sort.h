@@ -7,14 +7,13 @@
 // The loader streams a node-local framed-record file in chunks; the edge
 // routes each record by a RangePartitioner built from a seeded sampling pass
 // over the inputs (one sampler thread per node); the sink stages arrivals in
-// an arena with 8-byte key-prefix index entries, sorts them with the engine's
-// staged-record kernel (engine::internal::sort_recs: prefix radix sort, key
-// compare only on undecided prefix ties), spills sorted runs past the memory
-// budget (trace span sort.spill), and on upstream completion merges spills +
-// memory through a loser tree into one sorted run file per node (trace span
-// sort.merge). Because partition i's keys all precede partition i+1's,
-// concatenating the per-node outputs in node order is the globally sorted
-// dataset.
+// storage::StagedRuns (an arena with 8-byte key-prefix index entries, sorted
+// by storage::sort_recs: prefix radix sort, key compare only on undecided
+// prefix ties), spills sorted runs past the memory budget (trace span
+// sort.spill), and on upstream completion merges spills + memory through
+// the loser tree into one sorted run file per node (trace span sort.merge).
+// Because partition i's keys all precede partition i+1's, concatenating the
+// per-node outputs in node order is the globally sorted dataset.
 //
 // Records are opaque byte strings sorted lexicographically (carried as keys
 // with empty values), so equal records are byte-identical and the output is

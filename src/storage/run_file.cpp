@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "serde/serde.h"
+#include "storage/staged_runs.h"
 
 namespace hamr::storage {
 
@@ -70,18 +71,6 @@ namespace {
 
 uint64_t merge_runs_once(FileStore* store, const std::vector<std::string>& run_paths,
                          const std::string& out_path) {
-  struct Head {
-    std::string_view key;
-    std::string_view value;
-    size_t run;
-  };
-  struct HeadGreater {
-    bool operator()(const Head& a, const Head& b) const {
-      if (a.key != b.key) return a.key > b.key;
-      return a.run > b.run;  // stability across runs
-    }
-  };
-
   std::vector<RunReader> readers;
   readers.reserve(run_paths.size());
   uint64_t out_bytes = 0;  // the merge re-encodes every record unchanged
@@ -89,22 +78,13 @@ uint64_t merge_runs_once(FileStore* store, const std::vector<std::string>& run_p
     readers.emplace_back(store, path);
     out_bytes += readers.back().size();
   }
-
-  std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
-  for (size_t i = 0; i < readers.size(); ++i) {
-    std::string_view k, v;
-    if (readers[i].next(&k, &v)) heap.push({k, v, i});
-  }
-
+  LoserTree<RunReader> tree(std::move(readers));
   RunWriter out(store, out_path, out_bytes);
   uint64_t written = 0;
-  while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    out.add(head.key, head.value);
+  std::string_view key, value;
+  while (tree.next(&key, &value)) {
+    out.add(key, value);
     ++written;
-    std::string_view k, v;
-    if (readers[head.run].next(&k, &v)) heap.push({k, v, head.run});
   }
   out.close();
   return written;

@@ -4,12 +4,12 @@
 // A run file is a sequence of length-prefixed (key, value) records whose keys
 // are non-decreasing. RunWriter enforces the ordering in debug builds;
 // RunReader streams records back without materializing the file as records;
-// merge_runs k-way merges many runs into one (paying device cost for both the
-// reads and the writes, exactly like Hadoop's multi-pass merge).
+// merge_runs k-way merges many runs into one through the loser tree of
+// staged_runs.h (paying device cost for both the reads and the writes,
+// exactly like Hadoop's multi-pass merge).
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>

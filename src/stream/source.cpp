@@ -31,7 +31,6 @@ int64_t GeneratorSource::event_ts(uint64_t index) const {
 bool GeneratorSource::poll(const engine::InputSplit& split, uint64_t* cursor,
                            size_t max_events, engine::Context& ctx,
                            std::vector<StreamEvent>* out) {
-  (void)split;
   (void)ctx;
   uint64_t i = *cursor;
   uint64_t end = i + max_events;
@@ -44,7 +43,7 @@ bool GeneratorSource::poll(const engine::InputSplit& split, uint64_t* cursor,
     StreamEvent ev;
     ev.ts_us = event_ts(i);
     if (config_.make) {
-      config_.make(i, &ev.key, &ev.value);
+      config_.make(split, i, &ev.key, &ev.value);
     } else {
       ev.key = "k" + std::to_string(i % 64);
       ev.value = "1";

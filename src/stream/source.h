@@ -64,9 +64,12 @@ struct GeneratorConfig {
   int64_t jitter_us = 0;    // max forward event-time jitter (disorder bound)
   uint64_t seed = 1;
   double events_per_sec = 0;  // wall-clock pacing per split; 0 = unpaced
-  // Produces the (key, value) of one event index. Default: key "k<i % 64>",
-  // value "1" (a WordCount-shaped stream).
-  std::function<void(uint64_t index, std::string* key, std::string* value)> make;
+  // Produces the (key, value) of one event index of `split` (one split per
+  // node; split.preferred_node tells the nodes' streams apart). Default: key
+  // "k<i % 64>", value "1" on every split (a WordCount-shaped stream).
+  std::function<void(const engine::InputSplit& split, uint64_t index,
+                     std::string* key, std::string* value)>
+      make;
 };
 
 class GeneratorSource : public StreamSource {

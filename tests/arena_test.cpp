@@ -15,8 +15,8 @@
 #include "common/metrics.h"
 #include "common/pool.h"
 #include "engine/flat_table.h"
-#include "engine/runtime.h"
 #include "engine/scheduler.h"
+#include "storage/staged_runs.h"
 
 namespace hamr {
 namespace {
@@ -152,14 +152,14 @@ TEST(KeyPrefix, OrdersLikeLexicographicCompare) {
       std::string("\x00", 1), std::string("\xff\x01", 2)};
   for (const std::string& x : keys) {
     for (const std::string& y : keys) {
-      const uint64_t px = engine::internal::key_prefix(x);
-      const uint64_t py = engine::internal::key_prefix(y);
+      const uint64_t px = storage::key_prefix(x);
+      const uint64_t py = storage::key_prefix(y);
       if (px < py) {
         EXPECT_LT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
       } else if (px > py) {
         EXPECT_GT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
       }
-      // Equal prefixes: reduce_rec_less falls back to full key compare,
+      // Equal prefixes: rec_less falls back to full key compare,
       // nothing to check here.
     }
   }

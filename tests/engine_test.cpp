@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -366,6 +367,103 @@ TEST(Engine, ReduceSpillsUnderMemoryPressureAndStaysCorrect) {
     total += std::stoull(line.substr(line.find('\t') + 1));
   }
   EXPECT_EQ(total, 400u);
+}
+
+// --- spill-run cleanup --------------------------------------------------------
+
+namespace {
+
+// 512-byte values under `user_tag` records per split: far past an 8 KB
+// staging budget, so the reduce stages spill.
+class SpillingLoader : public LoaderFlowlet {
+ public:
+  bool load_chunk(const InputSplit& split, uint64_t* cursor, Context& ctx) override {
+    const uint64_t end = std::min(split.user_tag, *cursor + 16);
+    for (uint64_t i = *cursor; i < end; ++i) {
+      ctx.emit(0, "key" + std::to_string(i % 64), std::string(512, 'v'));
+    }
+    *cursor = end;
+    return end < split.user_tag;
+  }
+};
+
+class DiscardReduce : public ReduceFlowlet {
+ public:
+  void reduce(std::string_view, const std::vector<std::string_view>&,
+              Context&) override {}
+};
+
+// Spill-run files left in any node's store under `prefix`.
+size_t files_under(cluster::Cluster& cluster, const std::string& prefix) {
+  size_t files = 0;
+  for (uint32_t n = 0; n < cluster.size(); ++n) {
+    files += cluster.node(n).store().list(prefix).size();
+  }
+  return files;
+}
+
+// Forwards records to the reduce. Its finish() - which runs before the
+// reduce can fire - waits until some node's reduce has written a spill run,
+// then cancels the job, so the reduce stages meet the cancel holding runs.
+class CancelAfterSpillMap : public MapFlowlet {
+ public:
+  CancelAfterSpillMap(Engine* engine, cluster::Cluster* cluster,
+                      std::atomic<bool>* saw_spill)
+      : engine_(engine), cluster_(cluster), saw_spill_(saw_spill) {}
+
+  void process(const KvPair& record, Context& ctx) override {
+    ctx.emit(0, record.key, record.value);
+  }
+  void finish(Context&) override {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (files_under(*cluster_, "engine/spill/") == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (files_under(*cluster_, "engine/spill/") > 0) saw_spill_->store(true);
+    engine_->request_cancel();
+  }
+
+ private:
+  Engine* engine_;
+  cluster::Cluster* cluster_;
+  std::atomic<bool>* saw_spill_;
+};
+
+}  // namespace
+
+TEST(Engine, CompletedReduceDeletesItsSpillRuns) {
+  EngineConfig config = EngineConfig::fast();
+  config.memory_budget_bytes = 8 * 1024;
+  Env env(2, config);
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [] { return std::make_unique<SpillingLoader>(); });
+  auto red = g.add_reduce("r", [] { return std::make_unique<DiscardReduce>(); });
+  g.connect(loader, red);
+  const JobResult result = env.engine.run(g, synthetic_inputs(loader, 2, 400));
+  ASSERT_FALSE(result.cancelled);
+  ASSERT_GT(result.metrics.counter("sort.spill_runs"), 0u) << "expected spills";
+  EXPECT_EQ(files_under(env.cluster, "engine/spill/"), 0u);
+}
+
+TEST(Engine, CancelledReduceDeletesItsSpillRuns) {
+  EngineConfig config = EngineConfig::fast();
+  config.memory_budget_bytes = 8 * 1024;
+  Env env(2, config);
+  std::atomic<bool> saw_spill{false};
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [] { return std::make_unique<SpillingLoader>(); });
+  auto gate = g.add_map("cancel", [&] {
+    return std::make_unique<CancelAfterSpillMap>(&env.engine, &env.cluster,
+                                                 &saw_spill);
+  });
+  auto red = g.add_reduce("r", [] { return std::make_unique<DiscardReduce>(); });
+  g.connect(loader, gate);
+  g.connect(gate, red);
+  const JobResult result = env.engine.run(g, synthetic_inputs(loader, 2, 400));
+  ASSERT_TRUE(saw_spill.load()) << "no spill run appeared before the cancel";
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(files_under(env.cluster, "engine/spill/"), 0u);
 }
 
 TEST(Engine, PartialReduceEmitsOnceOnCompletion) {

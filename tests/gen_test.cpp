@@ -82,7 +82,9 @@ TEST(Generators, MoviesLinesParseAndRatingsSkewToFour) {
   }
   // Default distribution peaks at rating 4 - the HistogramRatings hot key.
   for (int r = 1; r <= 5; ++r) {
-    if (r != 4) EXPECT_GT(hist[4], hist[r]) << "rating " << r;
+    if (r != 4) {
+      EXPECT_GT(hist[4], hist[r]) << "rating " << r;
+    }
   }
 }
 

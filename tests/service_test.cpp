@@ -123,6 +123,18 @@ std::function<std::string(Engine&)> order_recorder(
   };
 }
 
+ServiceConfig fast_lanes() {
+  ServiceConfig cfg;
+  cfg.engine = EngineConfig::fast();
+  return cfg;
+}
+
+JobSpec tenant_spec(std::string tenant) {
+  JobSpec spec;
+  spec.tenant = std::move(tenant);
+  return spec;
+}
+
 ServiceConfig single_lane(size_t max_queued = 16) {
   ServiceConfig cfg;
   cfg.lanes = 1;
@@ -505,8 +517,8 @@ TEST(JobService, TwoLanesMakeConcurrentProgress) {
   a.gate = rendezvous;
   b.gate = rendezvous;
 
-  auto ta = svc.submit(JobSpec{.tenant = "a"}, a.work(/*records=*/16));
-  auto tb = svc.submit(JobSpec{.tenant = "b"}, b.work(/*records=*/16));
+  auto ta = svc.submit(tenant_spec("a"), a.work(/*records=*/16));
+  auto tb = svc.submit(tenant_spec("b"), b.work(/*records=*/16));
   ASSERT_EQ(ta->wait(std::chrono::seconds(30)), JobStatus::kDone);
   ASSERT_EQ(tb->wait(std::chrono::seconds(30)), JobStatus::kDone);
   EXPECT_EQ(a.seen->load() + b.seen->load(), 32u);
@@ -636,9 +648,9 @@ TEST(JobServiceChaos, ConcurrentWordCountsStayByteIdenticalUnderDrops) {
 
   auto out_a = std::make_shared<CountMap>();
   auto out_b = std::make_shared<CountMap>();
-  auto ta = svc.submit(JobSpec{.tenant = "a"},
+  auto ta = svc.submit(tenant_spec("a"),
                        wordcount_work(rendezvous, out_a, kNodes, kPerNode));
-  auto tb = svc.submit(JobSpec{.tenant = "b"},
+  auto tb = svc.submit(tenant_spec("b"),
                        wordcount_work(rendezvous, out_b, kNodes, kPerNode));
   ASSERT_EQ(ta->wait(std::chrono::seconds(120)), JobStatus::kDone);
   ASSERT_EQ(tb->wait(std::chrono::seconds(120)), JobStatus::kDone);
@@ -674,7 +686,7 @@ JobBuilder count_builder() {
 
 TEST(JobRpc, SubmitPollResultOverInProcCluster) {
   cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
-  JobService svc(cluster, ServiceConfig{.engine = EngineConfig::fast()});
+  JobService svc(cluster, fast_lanes());
   svc.register_builder("count", count_builder());
 
   // Server on node 0's rpc; client calls from node 1 over the fabric.
@@ -704,7 +716,7 @@ TEST(JobRpc, SubmitPollResultOverInProcCluster) {
 
 TEST(JobRpc, ServesOverTcpSockets) {
   cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
-  JobService svc(cluster, ServiceConfig{.engine = EngineConfig::fast()});
+  JobService svc(cluster, fast_lanes());
   svc.register_builder("count", count_builder());
   // A megabyte of padding in the payload exercises the multi-frame TCP path.
   svc.register_builder("padded", [](const JobSpec& spec) {

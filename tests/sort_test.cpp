@@ -13,13 +13,12 @@
 
 #include "apps/common.h"
 #include "common/random.h"
-#include "engine/runtime.h"
 #include "fault/fault.h"
 #include "query/row.h"
 #include "serde/batch.h"
-#include "sort/merge.h"
 #include "sort/partitioner.h"
 #include "sort/sort.h"
+#include "storage/staged_runs.h"
 
 using namespace hamr;
 
@@ -160,7 +159,7 @@ struct VecSource {
 };
 
 std::vector<std::pair<std::string, std::string>> drain(
-    sort::LoserTree<VecSource>& tree) {
+    storage::LoserTree<VecSource>& tree) {
   std::vector<std::pair<std::string, std::string>> out;
   std::string_view key, value;
   while (tree.next(&key, &value)) out.emplace_back(key, value);
@@ -184,7 +183,7 @@ TEST(LoserTree, MergesSeededRunsLikeReference) {
   }
   std::stable_sort(all.begin(), all.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  sort::LoserTree<VecSource> tree(std::move(sources));
+  storage::LoserTree<VecSource> tree(std::move(sources));
   const auto merged = drain(tree);
   ASSERT_EQ(merged.size(), all.size());
   for (size_t i = 0; i < merged.size(); ++i) {
@@ -197,7 +196,7 @@ TEST(LoserTree, TiesBreakTowardSmallerSourceIndex) {
   sources[0].recs = {{"k", "s0-a"}, {"k", "s0-b"}};
   sources[1].recs = {{"k", "s1-a"}};
   sources[2].recs = {{"a", "s2-a"}, {"k", "s2-a"}};
-  sort::LoserTree<VecSource> tree(std::move(sources));
+  storage::LoserTree<VecSource> tree(std::move(sources));
   const auto merged = drain(tree);
   ASSERT_EQ(merged.size(), 5u);
   EXPECT_EQ(merged[0].second, "s2-a");  // key "a"
@@ -211,19 +210,19 @@ TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
   {
     std::vector<VecSource> one(1);
     one[0].recs = {{"a", "1"}, {"b", "2"}};
-    sort::LoserTree<VecSource> tree(std::move(one));
+    storage::LoserTree<VecSource> tree(std::move(one));
     EXPECT_EQ(drain(tree).size(), 2u);
   }
   {
     std::vector<VecSource> mixed(4);  // all but one empty
     mixed[2].recs = {{"x", "1"}};
-    sort::LoserTree<VecSource> tree(std::move(mixed));
+    storage::LoserTree<VecSource> tree(std::move(mixed));
     const auto merged = drain(tree);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_EQ(merged[0].first, "x");
   }
   {
-    sort::LoserTree<VecSource> tree({});
+    storage::LoserTree<VecSource> tree({});
     std::string_view k, v;
     EXPECT_FALSE(tree.next(&k, &v));
   }
@@ -233,7 +232,7 @@ TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
 
 namespace {
 
-using Rec = engine::internal::ReduceStage::Rec;
+using storage::Rec;
 
 // Staged records over owned bytes: record i's value is its index, so every
 // record is distinct and the data pointers identify it.
@@ -247,7 +246,7 @@ struct StagedRecs {
     for (size_t i = 0; i < keys.size(); ++i) {
       bytes.push_back(keys[i] + std::to_string(i));
       Rec r;
-      r.prefix = engine::internal::key_prefix(keys[i]);
+      r.prefix = storage::key_prefix(keys[i]);
       r.key_len = static_cast<uint32_t>(keys[i].size());
       r.value_len = static_cast<uint32_t>(bytes.back().size() - keys[i].size());
       r.data = bytes.back().data();
@@ -262,9 +261,9 @@ void expect_kernel_matches_stable_sort(const std::vector<std::string>& keys) {
   const StagedRecs staged(keys);
   std::vector<Rec> expected = staged.recs;
   std::stable_sort(expected.begin(), expected.end(),
-                   engine::internal::reduce_rec_less);
+                   storage::rec_less);
   std::vector<Rec> actual = staged.recs;
-  engine::internal::sort_recs(&actual);
+  storage::sort_recs(&actual);
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < actual.size(); ++i) {
     ASSERT_EQ(actual[i].data, expected[i].data) << "position " << i;
@@ -568,6 +567,21 @@ TEST(DistributedSort, ByteIdenticalToReferenceWithSpillsOverReliableShuffle) {
   }
   EXPECT_GT(fan_in_observations, 0u);
   EXPECT_TRUE(pool_gauge_live);
+}
+
+TEST(DistributedSort, DeletesItsSpillRuns) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  const auto data = random_records(20000, 53, 16, 80);
+  sort::SortSpec spec;
+  spec.output_prefix = "sort/cleanup";
+  const SortRun run = run_sort(env, data, 64 * 1024, spec);
+  ASSERT_EQ(run.sorted.size(), data.size());
+  ASSERT_GT(run.stats.job.metrics.counter("sort.spill_runs"), 0u);
+  for (uint32_t n = 0; n < env.nodes(); ++n) {
+    const storage::FileStore& store = env.cluster->node(n).store();
+    EXPECT_TRUE(store.list("engine/spill/").empty()) << "node " << n;
+    EXPECT_TRUE(store.list(spec.output_prefix + "/spill/").empty()) << "node " << n;
+  }
 }
 
 TEST(DistributedSort, DuplicateHeavyInputStaysByteIdentical) {

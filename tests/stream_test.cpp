@@ -259,6 +259,35 @@ TEST(EventTimeWindows, BoundedReplayMatchesReferenceExactly) {
   EXPECT_GT(result.metrics.counter("stream.windows_emitted"), 0u);
 }
 
+TEST(GeneratorSource, MakeTellsTheNodesSplitsApart) {
+  const uint32_t kNodes = 2;
+  StreamEnv env(kNodes);
+  GeneratorConfig gen;
+  gen.total_events = 200;
+  gen.period_us = 100;  // every event falls in the window [0, 1 s)
+  gen.make = [](const engine::InputSplit& split, uint64_t index,
+                std::string* key, std::string* value) {
+    *key = "n" + std::to_string(split.preferred_node) + "-" +
+           std::to_string(index % 4);
+    *value = "1";
+  };
+  const WindowSpec window{.size_us = 1'000'000, .slide_us = 0};
+  service::JobWork work = StreamService::make_work(
+      count_pipeline(gen, window, "et/nodes"), kNodes, nullptr);
+  env.engine.run(work.graph, work.inputs);
+
+  // Each node's split names its own node, so each node's keys count only
+  // that node's events.
+  std::map<std::string, std::string> want;
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    for (int k = 0; k < 4; ++k) {
+      want[window_key(1'000'000, "n" + std::to_string(n) + "-" +
+                                     std::to_string(k))] = "50";
+    }
+  }
+  EXPECT_EQ(parse_sink(work.collect(env.engine)), want);
+}
+
 TEST(GeneratorSource, PacesEmissionRate) {
   StreamEnv env(1);
   GeneratorConfig gen;  // unbounded: emits until the stream stops
@@ -472,12 +501,17 @@ TEST(StreamEventLog, EmitNeverPrecedesTheWatermarkThatClosesTheWindow) {
 
 namespace {
 
+service::ServiceConfig fast_service(uint32_t lanes) {
+  service::ServiceConfig cfg;
+  cfg.lanes = lanes;
+  cfg.engine = engine::EngineConfig::fast();
+  return cfg;
+}
+
 struct ServiceEnv {
   explicit ServiceEnv(uint32_t nodes = 2, uint32_t lanes = 2)
       : cluster(cluster::ClusterConfig::fast(nodes)),
-        jobs(cluster,
-             service::ServiceConfig{.lanes = lanes,
-                                    .engine = engine::EngineConfig::fast()}),
+        jobs(cluster, fast_service(lanes)),
         streams(jobs) {}
 
   cluster::Cluster cluster;
@@ -580,8 +614,7 @@ TEST(StreamService, BackpressurePausesSourcesUntilDrain) {
 
 TEST(StreamRpc, DrainVerbWindsDownARemoteStream) {
   cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
-  service::JobService svc(
-      cluster, service::ServiceConfig{.engine = engine::EngineConfig::fast()});
+  service::JobService svc(cluster, fast_service(2));
   auto stats = std::make_shared<StreamStats>();
   svc.register_builder("stream", [stats](const service::JobSpec&) {
     service::JobWork w =
