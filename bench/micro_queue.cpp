@@ -46,7 +46,7 @@ constexpr uint64_t kSchedBudget = 1ull << 30;
 // that queue overhead dominates.
 uint64_t consume(const engine::QueueItem& item) {
   uint64_t sum = 0;
-  for (char c : item.payload) sum += static_cast<unsigned char>(c);
+  for (char c : item.payload.view()) sum += static_cast<unsigned char>(c);
   return sum;
 }
 
@@ -83,7 +83,7 @@ static void BM_SchedulerThroughput(benchmark::State& state) {
     for (uint64_t i = 0; i < kSchedItems; ++i) {
       engine::QueueItem item;
       item.src = static_cast<uint32_t>(i % workers);
-      item.payload.assign(kSchedPayload, 'x');
+      item.payload = std::string(kSchedPayload, 'x');
       sched.push_bin(std::move(item));
     }
     while (done.load(std::memory_order_relaxed) < kSchedItems) {

@@ -193,9 +193,10 @@ static void BM_BinBuildPooled(benchmark::State& state) {
   const std::string value(static_cast<size_t>(state.range(0)), 'x');
   BufferPool pool;
   for (auto _ : state) {
-    engine::BinBuilder builder(1, 0);
+    engine::BinBuilder builder;
+    builder.open(1, 0, &pool);
     for (int i = 0; i < 512; ++i) builder.add("key", value);
-    std::string bin = builder.take(&pool);
+    std::string bin = builder.take();
     engine::BinView view(bin);
     engine::KvPair record;
     size_t total = 0;

@@ -3,8 +3,9 @@
 // Every shuffle bin and every retransmission frame used to allocate a fresh
 // std::string on build and free it after send/ack. A BufferPool keeps a
 // bounded freelist of those strings so their heap capacity survives the
-// round trip: BinBuilder::take() acquires, the worker loop releases a
-// processed bin's payload, and the reliable channel releases acked frames.
+// round trip: a BinBuilder acquires, and a sealed bin's shared body
+// (to_shared below) comes back when its last holder drops it - the worker
+// that processed the bin, or the reliable channel once the frame is acked.
 //
 // Bounded on both axes: at most `max_buffers` strings are retained, and a
 // returned string whose capacity exceeds `max_buffer_bytes` is dropped so a
@@ -93,25 +94,23 @@ class BufferPool {
   std::vector<std::string> free_;
 };
 
-// Wraps a buffer in shared ownership; when the last holder drops its
-// reference the buffer's capacity goes back to `pool`. The deleter captures
-// the shared_ptr to the pool itself, so pooled payloads may safely outlive
-// the runtime that created them (frames can still sit in a transport queue
-// while their node is being torn down).
-inline std::shared_ptr<std::string> to_shared(std::shared_ptr<BufferPool> pool,
-                                              std::string&& buf) {
+// Wraps a buffer in immutable shared ownership; when the last holder drops
+// its reference the buffer's capacity goes back to `pool`. This deleter is
+// the only way a shared buffer returns to a pool. It captures the
+// shared_ptr to the pool itself, so pooled payloads may safely outlive the
+// runtime that created them (bins can still sit in a transport queue or a
+// peer's bin queue while their node is being torn down).
+inline std::shared_ptr<const std::string> to_shared(
+    std::shared_ptr<BufferPool> pool, std::string&& buf) {
   auto* raw = new std::string(std::move(buf));
-  return std::shared_ptr<std::string>(
-      raw, [pool = std::move(pool)](std::string* p) {
-        pool->release(std::move(*p));
-        delete p;
+  return std::shared_ptr<const std::string>(
+      raw, [pool = std::move(pool)](const std::string* p) {
+        // The last holder is gone, so the bytes may be moved out: `p` was
+        // allocated non-const above.
+        auto* owned = const_cast<std::string*>(p);
+        pool->release(std::move(*owned));
+        delete owned;
       });
-}
-
-inline std::shared_ptr<std::string> acquire_shared(
-    std::shared_ptr<BufferPool> pool) {
-  std::string buf = pool->acquire();
-  return to_shared(std::move(pool), std::move(buf));
 }
 
 }  // namespace hamr

@@ -65,12 +65,9 @@ std::string BinBuilder::seal() {
   return out;
 }
 
-std::string BinBuilder::take(BufferPool* pool) {
-  if (pool != nullptr) pool_ = pool;
-  return seal();
-}
+std::string BinBuilder::take() { return seal(); }
 
-std::shared_ptr<std::string> BinBuilder::take_shared(
+std::shared_ptr<const std::string> BinBuilder::take_shared(
     const std::shared_ptr<BufferPool>& pool) {
   if (pool != nullptr) pool_ = pool.get();
   return to_shared(pool, seal());

@@ -52,14 +52,13 @@ class BinBuilder {
   bool empty() const { return count_ == 0; }
 
   // Seals the bin (patches the record count) and moves the payload out,
-  // resetting the builder for reuse. The pool argument is kept for
-  // compatibility: it seeds the builder's pool for the next bin.
-  std::string take(BufferPool* pool = nullptr);
+  // resetting the builder for reuse.
+  std::string take();
 
-  // Like take(), but wraps the payload in shared ownership whose deleter
-  // returns the buffer to `pool` when the last holder (transport queue,
-  // retransmission slot, ...) drops it.
-  std::shared_ptr<std::string> take_shared(
+  // Like take(), but wraps the payload in immutable shared ownership whose
+  // deleter returns the buffer to `pool` when the last holder (transport
+  // queue, retransmission slot, the receiving worker, ...) drops it.
+  std::shared_ptr<const std::string> take_shared(
       const std::shared_ptr<BufferPool>& pool);
 
  private:
@@ -77,7 +76,7 @@ class BinBuilder {
 };
 
 // Parses a received bin. Views returned by the iterator point into the
-// message payload owned by the caller.
+// bin's bytes, which the caller keeps alive.
 class BinView {
  public:
   // Throws serde::DecodeError on malformed input.

@@ -157,13 +157,13 @@ class TaskContext : public Context {
   void flush_builder(NodeId dst, BinBuilder& builder) {
     if (builder.empty()) return;
     flush_record_count();
-    // The sealed bin becomes a shared body: transport queues and the
-    // retransmission slot all reference these bytes, never copy them.
-    std::shared_ptr<std::string> bin = builder.take_shared(rt_->pool_);
+    // The sealed bin becomes a shared body: transport queues, the
+    // retransmission slot and the receiving worker all reference these
+    // bytes, never copy them.
+    std::shared_ptr<const std::string> bin = builder.take_shared(rt_->pool_);
     rt_->bins_c_->inc();
     rt_->bin_bytes_c_->add(bin->size());
-    rt_->enqueue_out(dst, rt_->bin_type_,
-                     net::Payload::with_body(std::string(), std::move(bin)));
+    rt_->enqueue_out(dst, rt_->bin_type_, std::move(bin));
   }
 
   void flush_record_count() {
@@ -263,7 +263,6 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   stalls_c_ = metrics().counter("engine.stalls");
   stall_ns_c_ = metrics().counter("engine.stall_ns");
   task_retries_c_ = metrics().counter("engine.task_retries");
-  frame_copies_c_ = metrics().counter("engine.shuffle_frame_copies");
   spill_runs_c_ = metrics().counter("sort.spill_runs");
   stall_us_h_ = metrics().histogram("engine.stall_us");
   task_us_h_ = metrics().histogram("engine.task_us");
@@ -358,7 +357,7 @@ void NodeRuntime::on_bin_message(net::Message&& msg) {
   uint64_t bin_index = 0;
   // Parse only the header to account the pending bin (cheap).
   try {
-    BinView view(msg.payload);
+    BinView view(msg.payload.view());
     if (view.job_epoch() != job->epoch) return;  // stale job traffic
     const GraphEdge& edge = job->graph->edge(view.edge());
     // Log before the pending_bins increment becomes visible so the event's
@@ -401,19 +400,25 @@ void NodeRuntime::on_frame_message(net::Message&& msg) {
   const uint32_t src = msg.src;
   uint64_t seq = 0;
   uint32_t inner_type = 0;
-  std::string inner;
+  net::Payload inner;
   try {
-    serde::Reader r(msg.payload);
+    // The frame header (varint seq | varint type | varint len) is an in-proc
+    // frame's head and the front of a TCP frame's one buffer; either way
+    // view() starts with it, and the framed message is the rest - a slice
+    // of the same body.
+    serde::Reader r(msg.payload.view());
     seq = r.get_varint();
     inner_type = static_cast<uint32_t>(r.get_varint());
-    inner = std::string(r.get_bytes());
+    const uint64_t len = r.get_varint();
+    inner = msg.payload.suffix(r.position());
+    if (inner.size() != len) throw serde::DecodeError("frame length mismatch");
   } catch (const serde::DecodeError& e) {
     HLOG_ERROR << "node " << node_id() << " malformed frame from " << src << ": "
                << e.what();
     return;
   }
 
-  std::vector<std::pair<uint32_t, std::string>> deliverable;
+  std::vector<std::pair<uint32_t, net::Payload>> deliverable;
   uint64_t ack = 0;
   {
     RecvChannel& ch = recv_channels_.at(src);
@@ -444,10 +449,7 @@ void NodeRuntime::on_frame_message(net::Message&& msg) {
   raw_enqueue_out(src, ack_type_, std::string(buf.view()));
 
   for (auto& [type, payload] : deliverable) {
-    net::Message m;
-    m.type = type;
-    m.src = src;
-    m.payload = std::move(payload);
+    net::Message m{type, src, std::move(payload)};
     if (type == control_type_) {
       on_control_message(std::move(m));
     } else {
@@ -459,7 +461,7 @@ void NodeRuntime::on_frame_message(net::Message&& msg) {
 void NodeRuntime::on_ack_message(net::Message&& msg) {
   uint64_t cum = 0;
   try {
-    serde::Reader r(msg.payload);
+    serde::Reader r(msg.payload.view());
     cum = r.get_varint();
   } catch (const serde::DecodeError& e) {
     HLOG_ERROR << "node " << node_id() << " malformed ack from " << msg.src << ": "
@@ -568,9 +570,9 @@ void NodeRuntime::worker_loop() {
         } else {
           process_bin(work.item);
         }
-        // Recycle the payload buffer (retry paths copied what they needed).
-        pool_->release(std::move(work.item.payload));
-        work.item.payload.clear();
+        // Drop the body now, not at batch end: its deleter returns the
+        // buffer to the sending node's pool.
+        work.item.payload = net::Payload();
       } else {
         work.task();
         work.task = nullptr;  // release captures before the next blocking pop
@@ -580,10 +582,10 @@ void NodeRuntime::worker_loop() {
   }
 }
 
-void NodeRuntime::process_bin(const QueueItem& item) {
+void NodeRuntime::process_bin(QueueItem& item) {
   auto job = current_job();
   if (!job) return;
-  BinView view(item.payload);
+  BinView view(item.payload.view());
   if (view.job_epoch() != job->epoch) return;
   const GraphEdge& edge = job->graph->edge(view.edge());
   internal::FlowletState& fs = *job->flowlets[edge.dst];
@@ -604,7 +606,7 @@ void NodeRuntime::process_bin(const QueueItem& item) {
   // that is merely waiting to be retried.
   if (should_crash_task(edge.dst, item.attempts)) {
     log_event(obs::EventKind::kTaskRetry, edge.dst, item.attempts + 1);
-    retry_bin(item);
+    retry_bin(std::move(item));
     return;
   }
 
@@ -652,7 +654,7 @@ void NodeRuntime::process_bin(const QueueItem& item) {
 void NodeRuntime::process_control(const QueueItem& item) {
   auto job = current_job();
   if (!job) return;
-  serde::Reader r(item.payload);
+  serde::Reader r(item.payload.view());
   const uint64_t epoch = r.get_varint();
   if (epoch != job->epoch) return;
   const uint64_t kind = r.get_varint();
@@ -1037,11 +1039,10 @@ void NodeRuntime::flush_combine_stripe(internal::JobState& job, EdgeId edge_id,
   const uint32_t nodes = engine_->cluster().size();
   std::vector<BinBuilder> builders(nodes);
   auto send = [&](NodeId dst, BinBuilder& builder) {
-    std::shared_ptr<std::string> bin = builder.take_shared(pool_);
+    std::shared_ptr<const std::string> bin = builder.take_shared(pool_);
     bins_c_->inc();
     bin_bytes_c_->add(bin->size());
-    enqueue_out(dst, bin_type_,
-                net::Payload::with_body(std::string(), std::move(bin)));
+    enqueue_out(dst, bin_type_, std::move(bin));
   };
   for (const auto& e : drained.entries()) {
     const NodeId dst = edge.options.partitioner
@@ -1071,21 +1072,23 @@ void NodeRuntime::flowlet_locally_complete(FlowletId flowlet) {
 
 void NodeRuntime::broadcast_complete(FlowletId flowlet) {
   auto job = current_job();
+  // Only a flowlet's downstream flowlets count its COMPLETE (process_control
+  // walks the out-edges), so a sink sends none.
+  const uint32_t destinations = job->graph->flowlet(flowlet).out_edges.empty()
+                                    ? 0
+                                    : engine_->cluster().size();
+  log_event(obs::EventKind::kCompleteBroadcast, flowlet,
+            static_cast<int64_t>(destinations));
+  if (destinations == 0) return;
   ByteBuffer buf;
   serde::Writer w(buf);
   w.put_varint(job->epoch);
   w.put_varint(kCtlComplete);
   w.put_varint(flowlet);
-  log_event(obs::EventKind::kCompleteBroadcast, flowlet,
-            static_cast<int64_t>(engine_->cluster().size()));
   // One shared body serves every destination: each enqueue copies a few
   // header bytes and bumps a refcount instead of duplicating the payload.
-  std::shared_ptr<std::string> body = acquire_shared(pool_);
-  body->append(buf.view());
-  for (uint32_t n = 0; n < engine_->cluster().size(); ++n) {
-    enqueue_out(n, control_type_,
-                net::Payload::with_body(std::string(), body));
-  }
+  const auto body = std::make_shared<const std::string>(buf.view());
+  for (uint32_t n = 0; n < destinations; ++n) enqueue_out(n, control_type_, body);
 }
 
 // --- streaming -----------------------------------------------------------
@@ -1230,19 +1233,18 @@ Duration NodeRuntime::retry_backoff(uint32_t attempt) const {
   return backoff_after(base, cap, attempt);
 }
 
-void NodeRuntime::retry_bin(const QueueItem& item) {
+void NodeRuntime::retry_bin(QueueItem&& item) {
   task_retries_c_->inc();
   const Duration nap = retry_backoff(item.attempts);
   metrics().histogram("engine.retry_backoff_us")->observe(
       static_cast<uint64_t>(nap.count() / 1000));
-  QueueItem copy = item;
-  ++copy.attempts;
+  ++item.attempts;
   // Park the bin on the deferred queue for the (bounded) backoff - no worker
   // naps - then push it back WITHOUT the capacity wait: blocking there could
   // deadlock against the delivery thread, and the item's bytes re-enter the
   // shared budget via the forced push.
   DeferredTask d;
-  d.task = [this, item = std::move(copy)]() mutable {
+  d.task = [this, item = std::move(item)]() mutable {
     sched_.push_bin(std::move(item), /*force=*/true);
   };
   schedule_deferred(now() + nap, std::move(d));
@@ -1277,35 +1279,19 @@ void NodeRuntime::write_spill_with_retry(storage::RunWriter& writer) {
 
 // --- egress --------------------------------------------------------------
 
-void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type, net::Payload payload) {
+void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type,
+                              std::shared_ptr<const std::string> body) {
   // Reliable shuffle: wrap engine payloads destined for a *remote* node in a
   // sequence-numbered frame and remember it for retransmission until the
   // cumulative ack passes it. Local traffic is never faulted (the transport
   // guarantees this), so it skips the frame overhead entirely.
-  if (reliable() && dst != node_id() &&
-      (type == bin_type_ || type == control_type_)) {
+  if (reliable() && dst != node_id()) {
     SendChannel& ch = send_channels_.at(dst);
 
     // The frame is head + shared body: the head carries the seq/ack header
     // (varint seq | varint type | varint len), the body is the bin's pooled
     // buffer itself. Live send, outbox, and retransmission slot all
-    // reference the same bytes. Payloads that arrive without a shared body
-    // (raw strings from auxiliary paths) are materialized into one - that
-    // copy is what engine.shuffle_frame_copies counts, and the steady-state
-    // bin/control path never takes it.
-    std::shared_ptr<std::string> body;
-    size_t body_off = 0;
-    size_t body_len = 0;
-    if (payload.has_body() && payload.head().empty()) {
-      body_off = payload.body_offset();
-      body_len = payload.body_length();
-      body = std::move(payload).body();
-    } else {
-      frame_copies_c_->inc();
-      body = to_shared(pool_, std::move(payload).into_string());
-      body_len = body->size();
-    }
-
+    // reference the same bytes.
     ByteBuffer buf;
     serde::Writer w(buf);
     uint64_t seq = 0;
@@ -1315,9 +1301,8 @@ void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type, net::Payload payload)
       seq = ch.next_seq++;
       w.put_varint(seq);
       w.put_varint(type);
-      w.put_varint(body_len);
-      frame = net::Payload::with_body(std::string(buf.view()), std::move(body),
-                                      body_off, body_len);
+      w.put_varint(body->size());
+      frame = net::Payload::with_body(std::string(buf.view()), std::move(body));
       SendChannel::Unacked& u = ch.unacked[seq];
       u.frame = frame;
       // Armed for real by the sender thread once the frame leaves the node;
@@ -1334,9 +1319,9 @@ void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type, net::Payload payload)
   }
   if (type == bin_type_ && dst != node_id()) {
     obs::trace().record_instant("shuffle.send", "engine.shuffle", node_id(),
-                                -1, static_cast<int64_t>(payload.size()));
+                                -1, static_cast<int64_t>(body->size()));
   }
-  raw_enqueue_out(dst, type, std::move(payload));
+  raw_enqueue_out(dst, type, net::Payload::with_body(std::string(), std::move(body)));
 }
 
 void NodeRuntime::raw_enqueue_out(uint32_t dst, uint32_t type,

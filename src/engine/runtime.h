@@ -215,7 +215,8 @@ class NodeRuntime {
     std::mutex mu;
     uint64_t next_expected = 0;
     // Out-of-order frames staged until the gap fills: seq -> (type, payload).
-    std::map<uint64_t, std::pair<uint32_t, std::string>> stash;
+    // Each payload is a slice of its frame's body, not a copy.
+    std::map<uint64_t, std::pair<uint32_t, net::Payload>> stash;
   };
 
   // --- job lifecycle (driven by Engine) ---
@@ -245,7 +246,7 @@ class NodeRuntime {
   void schedule_deferred(TimePoint due, DeferredTask&& d);
   TimePoint next_deferred_deadline();
   void drain_due_deferred();
-  void process_bin(const QueueItem& item);
+  void process_bin(QueueItem& item);
   void process_control(const QueueItem& item);
   void run_split_chunk(FlowletId loader, const InputSplit& split, uint64_t cursor,
                        uint32_t attempt = 0);
@@ -279,11 +280,14 @@ class NodeRuntime {
   // retries past the bound proceed (logged) so data is never silently lost.
   bool should_crash_task(FlowletId flowlet, uint32_t attempt);
   Duration retry_backoff(uint32_t attempt) const;
-  void retry_bin(const QueueItem& item);
+  void retry_bin(QueueItem&& item);
   void write_spill_with_retry(storage::RunWriter& writer);
 
   // --- egress ---
-  void enqueue_out(uint32_t dst, uint32_t type, net::Payload payload);
+  // Sends a sealed bin or control body: framed on the reliable channel,
+  // else as is. Taking the shared body itself leaves no send-side copy.
+  void enqueue_out(uint32_t dst, uint32_t type,
+                   std::shared_ptr<const std::string> body);
   void raw_enqueue_out(uint32_t dst, uint32_t type, net::Payload payload,
                        uint64_t frame_seq = 0, bool is_frame = false);
   void sender_loop();
@@ -330,9 +334,6 @@ class NodeRuntime {
   Counter* stalls_c_ = nullptr;
   Counter* stall_ns_c_ = nullptr;
   Counter* task_retries_c_ = nullptr;
-  // Fallback byte-copies on the reliable frame path (a framed payload that
-  // arrived without a shared body); ~0 in zero-copy steady state.
-  Counter* frame_copies_c_ = nullptr;
   Counter* spill_runs_c_ = nullptr;
   Histogram* stall_us_h_ = nullptr;
   Histogram* task_us_h_ = nullptr;
@@ -349,10 +350,10 @@ class NodeRuntime {
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;
 
-  // Payload buffer recycling: bins and frames acquire their output strings
-  // here; processed bins and acked frames return them. Shared so pooled
-  // frame bodies still in a transport queue at teardown keep the pool alive
-  // through their deleters.
+  // Payload buffer recycling: bins acquire their output strings here, and
+  // each sealed body's deleter returns it when the last holder (a peer's
+  // worker, an acked frame's retransmission slot) drops it. Shared so
+  // bodies still held elsewhere at teardown keep the pool alive.
   std::shared_ptr<BufferPool> pool_ = std::make_shared<BufferPool>();
 
   // Deferred tasks (flow-control stalls, crash-retry backoffs), ordered by

@@ -26,10 +26,10 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "net/payload.h"
 
 namespace hamr::engine {
 
@@ -42,7 +42,9 @@ struct QueueItem {
   // Per-destination-flowlet enqueue index (bins_enqueued fetch_add value),
   // carried so completion can advance the flowlet's processed-bin prefix.
   uint64_t bin_index = 0;
-  std::string payload;
+  // The message as delivered: a bin's shared body, uncopied since it was
+  // sealed. Dropping it returns the buffer to the sender's pool.
+  net::Payload payload;
 };
 
 class Scheduler {

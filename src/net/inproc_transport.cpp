@@ -37,10 +37,6 @@ void InProcTransport::start() {
 }
 
 void InProcTransport::stop() {
-  if (!started_ || stopping_.exchange(true)) {
-    // Either never started or another stop() already ran; still join below
-    // from the first caller only (threads reset once).
-  }
   stopping_.store(true);
   for (auto& node : nodes_) {
     {
@@ -192,10 +188,7 @@ void InProcTransport::delivery_loop(NodeId node) {
     if (s.handler) {
       obs::TraceSpan span("net.rx", "net", node, -1,
                           static_cast<int64_t>(item.type));
-      // The one materialization a shared body pays: contiguous bytes for the
-      // handler. Sole-owner payloads move instead of copying.
-      Message msg{item.type, item.src, std::move(item.payload).into_string()};
-      s.handler(std::move(msg));
+      s.handler(Message{item.type, item.src, std::move(item.payload)});
     } else {
       HLOG_WARN << "node " << node << " dropped message type " << item.type
                 << " (no handler)";

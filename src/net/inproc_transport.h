@@ -73,8 +73,7 @@ class InProcTransport {
 
  private:
   // Queued messages keep the segmented Payload (shared bin bodies stay
-  // shared while waiting in the ingress queue); contiguous bytes are
-  // materialized only when the handler runs.
+  // shared while waiting in the ingress queue) and reach the handler as is.
   struct Pending {
     TimePoint deliver_at;
     uint64_t seq;

@@ -22,7 +22,8 @@ using NodeId = uint32_t;
 struct Message {
   uint32_t type = 0;  // application-defined discriminator
   NodeId src = 0;
-  std::string payload;
+  // Delivered as sent: a shared bin body reaches the handler uncopied.
+  Payload payload;
 };
 
 // Delivery callback. Invoked on a transport-owned delivery thread, one

@@ -1,13 +1,18 @@
-// Segmented message payload with shared ownership: the zero-copy currency of
-// the transport layer.
+// Segmented message payload with shared ownership: the one byte type from
+// Endpoint::send to the worker that processes a message.
 //
 // A Payload is a small owned `head` (frame/sequence headers, built per send)
-// plus an optional shared `body` (the bulk bytes - a shuffle bin built once
-// in a pooled buffer) addressed by offset/length view. Senders that need the
-// same bulk bytes in several places (outbox, retransmission queue, several
-// broadcast destinations) copy the Payload, which copies the tiny head and
-// bumps the body refcount - the body bytes themselves are written exactly
-// once and never duplicated on the send path.
+// plus an optional immutable shared `body` (the bulk bytes - a shuffle bin
+// built once in a pooled buffer) addressed by offset/length. Copying a
+// Payload copies the tiny head and bumps the body refcount, so the outbox,
+// the retransmission slot, fault duplicates, the transport queue, the
+// reorder stash and the bin queue all hold the same body bytes: they are
+// written exactly once and copied nowhere, on either side of the transport.
+//
+// Readers take contiguous bytes through view(). Every payload a transport
+// delivers is one segment (head-only or body-only) except an in-proc
+// reliable-channel frame, whose view() is its frame header; suffix() then
+// yields the framed message as a slice of the same body.
 //
 // A plain std::string converts implicitly (head-only payload), so callers
 // without a shared body (RPC envelopes, acks, tests) are unaffected.
@@ -17,6 +22,7 @@
 // holder drops (see pool.h to_shared()), wherever in the stack that happens.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,62 +36,49 @@ class Payload {
   Payload() = default;
   // Implicit: a head-only payload owning its bytes.
   Payload(std::string bytes) : head_(std::move(bytes)) {}  // NOLINT
-  Payload(std::string_view bytes) : head_(bytes) {}        // NOLINT
   Payload(const char* bytes) : head_(bytes) {}             // NOLINT
 
-  // head + shared body[offset, offset+length). The body segment follows the
-  // head on the wire.
-  static Payload with_body(std::string head, std::shared_ptr<std::string> body,
-                           size_t offset, size_t length) {
+  // head + the whole shared body. The body segment follows the head on the
+  // wire.
+  static Payload with_body(std::string head,
+                           std::shared_ptr<const std::string> body) {
     Payload p;
     p.head_ = std::move(head);
+    p.body_len_ = body ? body->size() : 0;
     p.body_ = std::move(body);
-    p.body_off_ = offset;
-    p.body_len_ = length;
     return p;
-  }
-  static Payload with_body(std::string head, std::shared_ptr<std::string> body) {
-    const size_t n = body ? body->size() : 0;
-    return with_body(std::move(head), std::move(body), 0, n);
   }
 
   size_t size() const { return head_.size() + body_len_; }
-  bool empty() const { return size() == 0; }
-  bool has_body() const { return body_ != nullptr; }
 
   const std::string& head() const { return head_; }
   std::string_view body_view() const {
     return body_ ? std::string_view(*body_).substr(body_off_, body_len_)
                  : std::string_view();
   }
-  const std::shared_ptr<std::string>& body() const { return body_; }
-  size_t body_offset() const { return body_off_; }
-  size_t body_length() const { return body_len_; }
 
-  void append_to(std::string* out) const {
-    out->append(head_);
-    out->append(body_view());
+  // Contiguous bytes: the head when there is one, else the body slice. For a
+  // one-segment payload that is all of it.
+  std::string_view view() const {
+    return head_.empty() ? body_view() : std::string_view(head_);
   }
 
-  // Materializes contiguous bytes (receiver side / delivery). This is the
-  // one copy a shared body ever pays, and it is on the receive path, never
-  // on serialize/enqueue/resend. A sole-owner move fast path
-  // (use_count() == 1) is deliberately NOT taken: the relaxed count load
-  // does not synchronize with another holder's release-decrement, so
-  // "observed 1" gives no happens-before with that holder's last read of
-  // the bytes - a broadcast body delivered by two transport threads would
-  // race (caught by TSan on the sort suite).
-  std::string into_string() && {
-    if (!body_) return std::move(head_);
-    std::string out;
-    out.reserve(size());
-    append_to(&out);
-    return out;
+  // Bytes [offset, size()) sharing this payload's body; only head bytes past
+  // `offset` (a few header bytes at most) are copied.
+  Payload suffix(size_t offset) const {
+    Payload p;
+    if (offset < head_.size()) p.head_ = head_.substr(offset);
+    const size_t skip =
+        std::min(offset - std::min(offset, head_.size()), body_len_);
+    p.body_ = body_;
+    p.body_off_ = body_off_ + skip;
+    p.body_len_ = body_len_ - skip;
+    return p;
   }
 
  private:
   std::string head_;
-  std::shared_ptr<std::string> body_;
+  std::shared_ptr<const std::string> body_;
   size_t body_off_ = 0;
   size_t body_len_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "net/rpc.h"
 
 #include "common/bytes.h"
+#include "common/logging.h"
 #include "serde/serde.h"
 
 namespace hamr::net {
@@ -48,11 +49,21 @@ Result<std::string> Rpc::call_sync(NodeId dst, uint32_t method_id,
 }
 
 void Rpc::on_request(Message&& msg) {
-  serde::Reader r(msg.payload);
-  const uint64_t request_id = r.get_varint();
-  const uint32_t method_id = static_cast<uint32_t>(r.get_varint());
-  std::string argument(r.get_bytes());
   const NodeId caller = msg.src;
+  uint64_t request_id = 0;
+  uint32_t method_id = 0;
+  std::string argument;
+  // A malformed request has no id to answer; it is logged and dropped.
+  try {
+    serde::Reader r(msg.payload.view());
+    request_id = r.get_varint();
+    method_id = static_cast<uint32_t>(r.get_varint());
+    argument = std::string(r.get_bytes());
+  } catch (const serde::DecodeError& e) {
+    HLOG_ERROR << "node " << node_id() << " malformed rpc request from "
+               << caller << ": " << e.what();
+    return;
+  }
 
   if (pool_ != nullptr) {
     pool_->submit([this, caller, request_id, method_id,
@@ -90,10 +101,21 @@ void Rpc::serve(NodeId caller, uint64_t request_id, uint32_t method_id,
 }
 
 void Rpc::on_response(Message&& msg) {
-  serde::Reader r(msg.payload);
-  const uint64_t request_id = r.get_varint();
-  const bool ok = r.get_bool();
-  std::string body(r.get_bytes());
+  uint64_t request_id = 0;
+  bool ok = false;
+  std::string body;
+  // A malformed response cannot be matched to its call, which then times
+  // out; it is logged and dropped.
+  try {
+    serde::Reader r(msg.payload.view());
+    request_id = r.get_varint();
+    ok = r.get_bool();
+    body = std::string(r.get_bytes());
+  } catch (const serde::DecodeError& e) {
+    HLOG_ERROR << "node " << node_id() << " malformed rpc response from "
+               << msg.src << ": " << e.what();
+    return;
+  }
 
   std::shared_ptr<std::promise<Result<std::string>>> promise;
   {

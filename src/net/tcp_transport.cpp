@@ -164,12 +164,16 @@ void TcpTransport::reader_loop(NodeId node, int fd) {
                  << header[0] << " bytes exceeds cap " << kMaxFramePayload;
       break;
     }
-    Message msg;
-    msg.type = header[1];
-    msg.src = header[2];
-    msg.payload.resize(header[0]);
-    if (header[0] > 0 && !read_all(fd, msg.payload.data(), header[0])) break;
-    if (s.handler) s.handler(std::move(msg));
+    // The frame's bytes become the message's shared body, so a reader can
+    // slice into them (an engine frame unwraps to a sub-slice) uncopied.
+    std::string bytes(header[0], '\0');
+    if (header[0] > 0 && !read_all(fd, bytes.data(), header[0])) break;
+    if (s.handler) {
+      s.handler(Message{header[1], header[2],
+                        Payload::with_body(std::string(),
+                                           std::make_shared<const std::string>(
+                                               std::move(bytes)))});
+    }
   }
   ::close(fd);
 }

@@ -217,7 +217,7 @@ TEST(Scheduler, FifoPerSenderStrictWithSingleConsumer) {
       while (sched.next(&work)) {
         if (!work.is_item) continue;
         dequeued[work.item.src].push_back(
-            static_cast<uint32_t>(std::stoul(work.item.payload)));
+            static_cast<uint32_t>(std::stoul(std::string(work.item.payload.view()))));
       }
     });
 
@@ -273,7 +273,7 @@ TEST(Scheduler, FifoPerSenderAcrossEightWorkersUnderRepeatRuns) {
           for (auto& work : batch) {
             if (!work.is_item) continue;
             per_worker[w][work.item.src].push_back(
-                static_cast<uint32_t>(std::stoul(work.item.payload)));
+                static_cast<uint32_t>(std::stoul(std::string(work.item.payload.view()))));
           }
           batch.clear();
         }
@@ -345,7 +345,7 @@ TEST(Scheduler, OneSendersBacklogSpreadsAcrossWorkers) {
       while (sched.next_batch(&batch, kItems) > 0) {
         for (auto& work : batch) {
           per_worker[w].push_back(
-              static_cast<uint32_t>(std::stoul(work.item.payload)));
+              static_cast<uint32_t>(std::stoul(std::string(work.item.payload.view()))));
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
         batch.clear();

@@ -3,6 +3,7 @@
 // control, routing modes, streaming), and multi-job reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -816,6 +817,29 @@ TEST(EngineEventLog, CompletionPropagatesExactlyOnce) {
           << "node " << n << " flowlet " << f;
     }
   }
+}
+
+TEST(EngineEventLog, SinkFlowletSendsNoCompleteMessages) {
+  // Only downstream flowlets count a COMPLETE, so a flowlet with no
+  // out-edges logs its one broadcast with 0 destinations and sends nothing.
+  obs::EventLog log;
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(4));
+  {
+    Engine engine(cluster, logged_config(&log));
+    FlowletGraph g;
+    auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
+    engine.run(g, synthetic_inputs(loader, 4, 0));
+    for (uint32_t n = 0; n < 4; ++n) {
+      const std::vector<obs::Event> events = log.stream(n, loader);
+      const auto broadcast = std::find_if(
+          events.begin(), events.end(), [](const obs::Event& ev) {
+            return ev.kind == obs::EventKind::kCompleteBroadcast;
+          });
+      ASSERT_NE(broadcast, events.end()) << "node " << n;
+      EXPECT_EQ(broadcast->aux, 0) << "node " << n;
+    }
+  }  // destroying the engine drains every node's outbox
+  EXPECT_EQ(cluster.total_counter("net.tx_msgs"), 0u);
 }
 
 TEST(EngineEventLog, ReduceFiresAfterAllUpstreamChannelsComplete) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,7 +61,7 @@ TEST(InProc, DeliversBetweenNodes) {
   ASSERT_EQ(sink.wait_for(1), 1u);
   EXPECT_EQ(sink.messages[0].type, 7u);
   EXPECT_EQ(sink.messages[0].src, 0u);
-  EXPECT_EQ(sink.messages[0].payload, "payload");
+  EXPECT_EQ(sink.messages[0].payload.view(), "payload");
 }
 
 TEST(InProc, SelfSendWorks) {
@@ -70,7 +71,7 @@ TEST(InProc, SelfSendWorks) {
   fabric.start();
   fabric.endpoint(0)->send(0, 1, "self");
   ASSERT_EQ(sink.wait_for(1), 1u);
-  EXPECT_EQ(sink.messages[0].payload, "self");
+  EXPECT_EQ(sink.messages[0].payload.view(), "self");
 }
 
 TEST(InProc, FifoPerSenderSingleThread) {
@@ -83,7 +84,7 @@ TEST(InProc, FifoPerSenderSingleThread) {
     fabric.endpoint(0)->send(1, 1, std::to_string(i));
   }
   ASSERT_EQ(sink.wait_for(200), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(sink.messages[i].payload, std::to_string(i));
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(sink.messages[i].payload.view(), std::to_string(i));
 }
 
 TEST(InProc, LatencyModelDelaysDelivery) {
@@ -200,6 +201,74 @@ TEST(InProc, CountsMetrics) {
   EXPECT_EQ(m0.value("net.tx_msgs"), 1u);
 }
 
+// --- Payload: one shared body from send to handler ---------------------------
+
+TEST(Payload, SuffixSlicesTheBodyWithoutCopying) {
+  const auto body = std::make_shared<const std::string>("0123456789");
+  const Payload frame = Payload::with_body("hdr", body);
+  EXPECT_EQ(frame.size(), 13u);
+  EXPECT_EQ(frame.view(), "hdr");  // a two-segment payload reads its head
+  const Payload inner = frame.suffix(3);
+  EXPECT_EQ(inner.view(), "0123456789");
+  EXPECT_EQ(inner.view().data(), body->data());
+  const Payload tail = inner.suffix(4);
+  EXPECT_EQ(tail.view(), "456789");
+  EXPECT_EQ(tail.view().data(), body->data() + 4);
+  EXPECT_EQ(frame.suffix(1).view(), "dr");  // head bytes past the offset
+  EXPECT_EQ(frame.suffix(1).size(), 12u);
+  EXPECT_EQ(frame.suffix(13).size(), 0u);
+}
+
+namespace {
+
+// Sends one shared body from node 0 to `dst` (2-node fabric) and returns the
+// data pointers of the `expect` deliveries the handler saw.
+std::vector<const char*> delivered_body_pointers(
+    NodeId dst, const std::shared_ptr<const std::string>& body, size_t expect,
+    fault::FaultInjector* injector = nullptr) {
+  InProcTransport fabric(2, fast_net());
+  Sink sink0, sink1;
+  fabric.endpoint(0)->set_handler(sink0.handler());
+  fabric.endpoint(1)->set_handler(sink1.handler());
+  fabric.set_fault_injector(injector);
+  fabric.start();
+  fabric.endpoint(0)->send(dst, 7, Payload::with_body(std::string(), body));
+  Sink& sink = dst == 0 ? sink0 : sink1;
+  EXPECT_EQ(sink.wait_for(expect), expect);
+  fabric.stop();
+  std::vector<const char*> pointers;
+  for (const Message& m : sink.messages) {
+    EXPECT_EQ(m.payload.view(), *body);
+    pointers.push_back(m.payload.view().data());
+  }
+  return pointers;
+}
+
+}  // namespace
+
+TEST(InProcZeroCopy, RemoteSendDeliversTheSendersBody) {
+  const auto body = std::make_shared<const std::string>(std::string(4096, 'r'));
+  EXPECT_EQ(delivered_body_pointers(1, body, 1),
+            std::vector<const char*>{body->data()});
+}
+
+TEST(InProcZeroCopy, SelfSendDeliversTheSendersBody) {
+  const auto body = std::make_shared<const std::string>(std::string(4096, 's'));
+  EXPECT_EQ(delivered_body_pointers(0, body, 1),
+            std::vector<const char*>{body->data()});
+}
+
+TEST(InProcZeroCopy, FaultDuplicatedSendDeliversTheSendersBodyTwice) {
+  fault::FaultPlan plan;
+  plan.faultable_types = {7};
+  plan.default_link.duplicate = 1.0;
+  fault::FaultInjector injector(plan);
+  const auto body = std::make_shared<const std::string>(std::string(4096, 'd'));
+  EXPECT_EQ(delivered_body_pointers(1, body, 2, &injector),
+            (std::vector<const char*>{body->data(), body->data()}));
+  EXPECT_EQ(injector.stats().messages_duplicated, 1u);
+}
+
 // --- Router --------------------------------------------------------------------
 
 TEST(Router, DispatchesByTypeAndDropsUnknown) {
@@ -216,7 +285,7 @@ TEST(Router, DispatchesByTypeAndDropsUnknown) {
   fabric.endpoint(0)->send(1, 10, "to-a-2");
   ASSERT_EQ(a.wait_for(2), 2u);
   ASSERT_EQ(b.wait_for(1), 1u);
-  EXPECT_EQ(a.messages[1].payload, "to-a-2");
+  EXPECT_EQ(a.messages[1].payload.view(), "to-a-2");
 }
 
 TEST(Router, DuplicateRegistrationThrows) {
@@ -304,6 +373,30 @@ TEST_F(RpcTest, LargePayloadRoundTrip) {
   EXPECT_EQ(result.value(), big);
 }
 
+// A malformed envelope is logged and dropped on the delivery thread; it must
+// neither end the process nor wedge the RPC layer for later calls.
+TEST_F(RpcTest, TruncatedRequestIsDroppedAndLaterCallsSucceed) {
+  rpcs_[1]->register_method(1, [](NodeId, std::string_view arg) {
+    return "echo:" + std::string(arg);
+  });
+  // A request id and nothing else: the method id is missing.
+  fabric_.endpoint(0)->send(1, msg_type::kRpcRequest, std::string("\x05", 1));
+  auto result = rpcs_[0]->call_sync(1, 1, "after");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value(), "echo:after");
+}
+
+TEST_F(RpcTest, TruncatedResponseIsDroppedAndLaterCallsSucceed) {
+  rpcs_[1]->register_method(1, [](NodeId, std::string_view arg) {
+    return "echo:" + std::string(arg);
+  });
+  // A request id and nothing else: the ok flag is missing.
+  fabric_.endpoint(1)->send(0, msg_type::kRpcResponse, std::string("\x05", 1));
+  auto result = rpcs_[0]->call_sync(1, 1, "after");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value(), "echo:after");
+}
+
 // --- TcpTransport ----------------------------------------------------------------
 
 TEST(Tcp, EchoAcrossRealSockets) {
@@ -317,11 +410,11 @@ TEST(Tcp, EchoAcrossRealSockets) {
   ASSERT_EQ(sink1.wait_for(1), 1u);
   EXPECT_EQ(sink1.messages[0].type, 42u);
   EXPECT_EQ(sink1.messages[0].src, 0u);
-  EXPECT_EQ(sink1.messages[0].payload, "over tcp");
+  EXPECT_EQ(sink1.messages[0].payload.view(), "over tcp");
 
   fabric.endpoint(1)->send(0, 43, "reply");
   ASSERT_EQ(sink0.wait_for(1), 1u);
-  EXPECT_EQ(sink0.messages[0].payload, "reply");
+  EXPECT_EQ(sink0.messages[0].payload.view(), "reply");
   fabric.stop();
 }
 
@@ -336,7 +429,7 @@ TEST(Tcp, LargeFrameAndOrdering) {
   for (int i = 0; i < 20; ++i) fabric.endpoint(0)->send(1, 2, std::to_string(i));
   ASSERT_EQ(sink.wait_for(21), 21u);
   EXPECT_EQ(sink.messages[0].payload.size(), big.size());
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(sink.messages[i + 1].payload, std::to_string(i));
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(sink.messages[i + 1].payload.view(), std::to_string(i));
   fabric.stop();
 }
 
@@ -359,8 +452,31 @@ TEST(Tcp, MultiMegabyteFrameSurvivesShortReadsIntact) {
   ASSERT_EQ(sink.wait_for(2, std::chrono::seconds(30)), 2u);
   EXPECT_EQ(sink.messages[0].type, 9u);
   ASSERT_EQ(sink.messages[0].payload.size(), big.size());
-  EXPECT_EQ(sink.messages[0].payload, big);  // every byte, in order
-  EXPECT_EQ(sink.messages[1].payload, "tail");
+  EXPECT_EQ(sink.messages[0].payload.view(), big);  // every byte, in order
+  EXPECT_EQ(sink.messages[1].payload.view(), "tail");
+  fabric.stop();
+}
+
+TEST(Tcp, HeadPlusBodyPayloadArrivesIntact) {
+  // Head and body go to the socket as two writes and arrive as one
+  // contiguous buffer; a reader slices past the head without copying.
+  TcpTransport fabric(2);
+  Sink sink;
+  fabric.endpoint(0)->set_handler([](Message&&) {});
+  fabric.endpoint(1)->set_handler(sink.handler());
+  fabric.start();
+  std::string bytes(100000, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 13 + 5) & 0xff);
+  }
+  const auto body = std::make_shared<const std::string>(bytes);
+  fabric.endpoint(0)->send(1, 4, Payload::with_body("head:", body));
+  ASSERT_EQ(sink.wait_for(1), 1u);
+  const Payload& got = sink.messages[0].payload;
+  ASSERT_EQ(got.size(), 5 + bytes.size());
+  EXPECT_EQ(got.view(), "head:" + bytes);
+  EXPECT_EQ(got.suffix(5).view(), bytes);
+  EXPECT_EQ(got.suffix(5).view().data(), got.view().data() + 5);
   fabric.stop();
 }
 
@@ -386,7 +502,7 @@ TEST(Tcp, EmptyPayloadFrame) {
   fabric.start();
   fabric.endpoint(0)->send(1, 5, "");
   ASSERT_EQ(sink.wait_for(1), 1u);
-  EXPECT_EQ(sink.messages[0].payload, "");
+  EXPECT_EQ(sink.messages[0].payload.view(), "");
   fabric.stop();
 }
 
@@ -429,8 +545,8 @@ TEST(InProcFaults, DuplicatedMessageIsDeliveredTwice) {
 
   fabric.endpoint(0)->send(1, 7, "twin");
   ASSERT_EQ(sink.wait_for(2), 2u);
-  EXPECT_EQ(sink.messages[0].payload, "twin");
-  EXPECT_EQ(sink.messages[1].payload, "twin");
+  EXPECT_EQ(sink.messages[0].payload.view(), "twin");
+  EXPECT_EQ(sink.messages[1].payload.view(), "twin");
   EXPECT_EQ(injector.stats().messages_duplicated, 1u);
   fabric.stop();
 }
@@ -457,8 +573,8 @@ TEST(InProcFaults, DelayedMessageArrivesOutOfOrder) {
   fabric.endpoint(0)->send(1, 7, "slow");
   fabric.endpoint(0)->send(1, 8, "fast");  // type 8 is not faultable
   ASSERT_EQ(sink.wait_for(2), 2u);
-  EXPECT_EQ(sink.messages[0].payload, "fast");
-  EXPECT_EQ(sink.messages[1].payload, "slow");
+  EXPECT_EQ(sink.messages[0].payload.view(), "fast");
+  EXPECT_EQ(sink.messages[1].payload.view(), "slow");
   EXPECT_EQ(injector.stats().messages_delayed, 1u);
   fabric.stop();
 }
