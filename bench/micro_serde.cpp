@@ -1,7 +1,7 @@
 // Microbenchmarks for the serialization substrate (varint, record, bin and
 // row-block encode/decode throughput) and the engine's hot memory layouts:
-// map-vs-flat combine folding, pair-vector-vs-arena reduce staging, and
-// pooled bin building (google-benchmark).
+// map-vs-flat combine folding and pair-vector-vs-arena reduce staging
+// (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/pool.h"
 #include "common/random.h"
 #include "engine/bin.h"
 #include "engine/flat_table.h"
@@ -186,27 +185,6 @@ static void BM_StageArenaAndSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kStageRecords);
 }
 BENCHMARK(BM_StageArenaAndSort);
-
-// --- pooled bin building -----------------------------------------------------
-
-static void BM_BinBuildPooled(benchmark::State& state) {
-  const std::string value(static_cast<size_t>(state.range(0)), 'x');
-  BufferPool pool;
-  for (auto _ : state) {
-    engine::BinBuilder builder;
-    builder.open(1, 0, &pool);
-    for (int i = 0; i < 512; ++i) builder.add("key", value);
-    std::string bin = builder.take();
-    engine::BinView view(bin);
-    engine::KvPair record;
-    size_t total = 0;
-    while (view.next(&record)) total += record.value.size();
-    benchmark::DoNotOptimize(total);
-    pool.release(std::move(bin));  // next take() reuses this capacity
-  }
-  state.SetBytesProcessed(state.iterations() * 512 * (3 + value.size()));
-}
-BENCHMARK(BM_BinBuildPooled)->Arg(16)->Arg(256);
 
 // --- scalar vs batch codecs --------------------------------------------------
 //

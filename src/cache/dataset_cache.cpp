@@ -44,23 +44,28 @@ DatasetWriter::DatasetWriter(DatasetCache* cache, std::string name,
 void DatasetWriter::append(uint32_t node, std::string_view key,
                            std::string_view value) {
   ShardBuilder& b = *shards_.at(node);
+  const uint64_t block_bytes = cache_->config_.block_bytes;
+  const uint64_t record = serde::varint_size(key.size()) + key.size() +
+                          serde::varint_size(value.size()) + value.size();
   std::lock_guard<std::mutex> lock(b.mu);
-  if (b.open_block.empty()) b.open_block = cache_->pooled_block();
+  // Seal before a record would cross the target, so a block never outgrows
+  // the buffer reserved for it: growing past the reservation would copy the
+  // block into one of twice the size. A record larger than the target gets
+  // a block of its own, sized to fit.
+  if (b.open_block.size() + record > block_bytes) seal_block(b);
+  if (b.open_block.empty()) b.open_block.reserve(std::max(block_bytes, record));
   serde::put_varint(b.open_block, key.size());
   b.open_block.append(key.data(), key.size());
   serde::put_varint(b.open_block, value.size());
   b.open_block.append(value.data(), value.size());
   b.shard.records++;
-  // Seal at the block target. A single record larger than the target still
-  // lands in one (oversized) block; the next append starts fresh.
-  if (b.open_block.size() >= cache_->config_.block_bytes) seal_block(b);
 }
 
 void DatasetWriter::seal_block(ShardBuilder& b) {
   if (b.open_block.empty()) return;
   b.shard.bytes += b.open_block.size();
   b.shard.blocks.push_back(
-      to_shared(cache_->pool_, std::move(b.open_block)));
+      std::make_shared<const std::string>(std::move(b.open_block)));
   b.open_block = std::string();
 }
 
@@ -76,10 +81,6 @@ DatasetCache::DatasetCache(cluster::Cluster& cluster)
 DatasetCache::DatasetCache(cluster::Cluster& cluster, Config config)
     : cluster_(cluster),
       config_(config),
-      pool_(std::make_shared<BufferPool>(
-          /*max_buffers=*/std::max<size_t>(
-              8, config.byte_budget / std::max<uint64_t>(1, config.block_bytes)),
-          /*max_buffer_bytes=*/config.block_bytes * 2)),
       alive_(std::make_shared<DatasetCache*>(this)) {
   // Cache-wide counters live on node 0's registry: the engine snapshots every
   // node's metrics around a run, so cache activity lands in
@@ -98,12 +99,6 @@ DatasetCache::~DatasetCache() {
   // Drop the liveness token first: pin leases released from now on (job
   // graphs can outlive the cache) see an expired weak_ptr and no-op.
   alive_.reset();
-}
-
-std::string DatasetCache::pooled_block() {
-  std::string buf = pool_->acquire();
-  buf.reserve(config_.block_bytes);
-  return buf;
 }
 
 std::shared_ptr<DatasetWriter> DatasetCache::begin(const std::string& name,
@@ -165,10 +160,7 @@ void DatasetCache::abort_writer(DatasetWriter* writer) {
   for (auto& b : writer->shards_) {
     std::lock_guard<std::mutex> lock(b->mu);
     b->shard = Dataset::Shard();
-    if (!b->open_block.empty()) {
-      pool_->release(std::move(b->open_block));
-      b->open_block = std::string();
-    }
+    b->open_block = std::string();
   }
   std::lock_guard<std::mutex> lock(mu_);
   stats_.invalidations++;
@@ -286,8 +278,8 @@ void DatasetCache::drop_entry_locked(const std::string& name, Entry& entry) {
           0, obs::EventKind::kDatasetEvict, /*flowlet=*/-1,
           static_cast<int64_t>(entry.data->total_bytes_));
     }
-    // Block buffers recycle into the pool when the last reader drops them
-    // (to_shared deleter); outstanding pins keep their snapshot readable.
+    // Outstanding pins keep their snapshot readable; the last one to drop
+    // a block frees it.
     entry.data.reset();
   }
   entry.pins = 0;

@@ -8,7 +8,7 @@
 //
 //   * Datasets are named, immutable once committed, and keyed by a
 //     monotonically increasing generation. A writer builds the next
-//     generation shard-by-shard (framed records in pooled block buffers);
+//     generation shard-by-shard (framed records packed into shared blocks);
 //     commit() publishes it atomically, abort() discards it.
 //   * Shards are per node. A dataset remembers *how* its records were routed
 //     to shards (the producing edge's partitioner, or "partitioned by key
@@ -40,7 +40,6 @@
 
 #include "cluster/cluster.h"
 #include "common/metrics.h"
-#include "common/pool.h"
 #include "obs/event_log.h"
 
 namespace hamr::cache {
@@ -69,8 +68,9 @@ struct PublishOptions {
 // handles (and the writer that built it); safe to read from any thread.
 class Dataset {
  public:
-  // One node's shard: framed records packed into pooled block buffers.
-  // Record layout within a block: (varint key_len | key | varint value_len |
+  // One node's shard: framed records packed into blocks of at most
+  // Config::block_bytes (a larger record gets a block of its own). Record
+  // layout within a block: (varint key_len | key | varint value_len |
   // value)*. Blocks are immutable; readers slice string_views out of them.
   struct Shard {
     std::vector<std::shared_ptr<const std::string>> blocks;
@@ -144,7 +144,7 @@ class DatasetWriter {
 
   struct ShardBuilder {
     std::mutex mu;
-    std::string open_block;  // pooled buffer under construction
+    std::string open_block;  // block under construction
     Dataset::Shard shard;
   };
   void seal_block(ShardBuilder& b);
@@ -239,11 +239,9 @@ class DatasetCache {
   void drop_entry_locked(const std::string& name, Entry& entry);
   void touch_locked(const std::string& name, Entry& entry);
   void update_gauges_locked();
-  std::string pooled_block();
 
   cluster::Cluster& cluster_;
   Config config_;
-  std::shared_ptr<BufferPool> pool_;
   // Liveness token for pin deleters: a lease released after the cache is
   // gone (e.g. an engine's last job graph holding a pin past the BenchEnv's
   // cache) must skip the refcount/LRU accounting, not touch freed memory.

@@ -6,14 +6,6 @@ namespace {
 
 constexpr size_t kCountSlotBytes = 5;
 
-void append_varint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
 // Writes `v` as exactly kCountSlotBytes varint bytes at `pos` (continuation
 // bits forced on the leading four so short values still fill the slot).
 void patch_padded_varint(std::string* out, size_t pos, uint64_t v) {
@@ -29,18 +21,16 @@ void patch_padded_varint(std::string* out, size_t pos, uint64_t v) {
 BinBuilder::BinBuilder(uint64_t job_epoch, EdgeId edge)
     : job_epoch_(job_epoch), edge_(edge), open_(true) {}
 
-void BinBuilder::open(uint64_t job_epoch, EdgeId edge, BufferPool* pool) {
+void BinBuilder::open(uint64_t job_epoch, EdgeId edge) {
   job_epoch_ = job_epoch;
   edge_ = edge;
-  if (pool != nullptr) pool_ = pool;
   open_ = true;
 }
 
 void BinBuilder::ensure_header() {
   if (header_written_) return;
-  if (payload_.empty() && pool_ != nullptr) payload_ = pool_->acquire();
-  append_varint(&payload_, job_epoch_);
-  append_varint(&payload_, edge_);
+  serde::put_varint(payload_, job_epoch_);
+  serde::put_varint(payload_, edge_);
   count_pos_ = payload_.size();
   payload_.append(kCountSlotBytes, '\0');
   header_written_ = true;
@@ -48,14 +38,14 @@ void BinBuilder::ensure_header() {
 
 void BinBuilder::add(std::string_view key, std::string_view value) {
   ensure_header();
-  append_varint(&payload_, key.size());
+  serde::put_varint(payload_, key.size());
   payload_.append(key.data(), key.size());
-  append_varint(&payload_, value.size());
+  serde::put_varint(payload_, value.size());
   payload_.append(value.data(), value.size());
   ++count_;
 }
 
-std::string BinBuilder::seal() {
+std::string BinBuilder::take() {
   ensure_header();  // a taken-but-empty bin still carries a valid header
   patch_padded_varint(&payload_, count_pos_, count_);
   std::string out = std::move(payload_);
@@ -65,18 +55,13 @@ std::string BinBuilder::seal() {
   return out;
 }
 
-std::string BinBuilder::take() { return seal(); }
-
-std::shared_ptr<const std::string> BinBuilder::take_shared(
-    const std::shared_ptr<BufferPool>& pool) {
-  if (pool != nullptr) pool_ = pool.get();
-  return to_shared(pool, seal());
-}
-
 BinView::BinView(std::string_view data) : data_(data) {
   serde::Reader r(data_);
   job_epoch_ = r.get_varint();
-  edge_ = static_cast<EdgeId>(r.get_varint());
+  const uint64_t edge = r.get_varint();
+  // Checked before narrowing, or a wider id would alias a real edge.
+  if (edge > UINT32_MAX) throw serde::DecodeError("bin edge id out of range");
+  edge_ = static_cast<EdgeId>(edge);
   count_ = r.get_varint();
   records_start_ = r.position();
   pos_ = records_start_;

@@ -12,12 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 
-#include "common/bytes.h"
-#include "common/pool.h"
 #include "serde/serde.h"
 
 namespace hamr::engine {
@@ -40,9 +37,8 @@ class BinBuilder {
   BinBuilder() = default;
   BinBuilder(uint64_t job_epoch, EdgeId edge);
 
-  // Arms a closed (or freshly taken) builder for a new (epoch, edge). With a
-  // pool, the payload buffer is acquired from it on first add().
-  void open(uint64_t job_epoch, EdgeId edge, BufferPool* pool = nullptr);
+  // Arms a closed (or freshly taken) builder for a new (epoch, edge).
+  void open(uint64_t job_epoch, EdgeId edge);
   bool is_open() const { return open_; }
 
   void add(std::string_view key, std::string_view value);
@@ -55,20 +51,12 @@ class BinBuilder {
   // resetting the builder for reuse.
   std::string take();
 
-  // Like take(), but wraps the payload in immutable shared ownership whose
-  // deleter returns the buffer to `pool` when the last holder (transport
-  // queue, retransmission slot, the receiving worker, ...) drops it.
-  std::shared_ptr<const std::string> take_shared(
-      const std::shared_ptr<BufferPool>& pool);
-
  private:
   void ensure_header();
-  std::string seal();
 
   uint64_t job_epoch_ = 0;
   EdgeId edge_ = 0;
   bool open_ = false;
-  BufferPool* pool_ = nullptr;
   std::string payload_;
   size_t count_pos_ = 0;
   bool header_written_ = false;

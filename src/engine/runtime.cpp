@@ -34,6 +34,22 @@ uint32_t stripe_of(std::string_view key, uint32_t stripes) {
              : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x9d13) % stripes);
 }
 
+// Reads a control message: the flowlet a COMPLETE for `job` names, or nothing
+// for another job's message or another kind. Throws serde::DecodeError on
+// malformed bytes or a flowlet id outside the job's graph.
+std::optional<FlowletId> parse_complete(std::string_view bytes,
+                                        const internal::JobState& job) {
+  serde::Reader r(bytes);
+  if (r.get_varint() != job.epoch) return std::nullopt;
+  const uint64_t kind = r.get_varint();
+  const uint64_t flowlet = r.get_varint();
+  if (kind != kCtlComplete) return std::nullopt;
+  if (flowlet >= job.graph->num_flowlets()) {
+    throw serde::DecodeError("control message names no flowlet of the job");
+  }
+  return static_cast<FlowletId>(flowlet);
+}
+
 // Exponential backoff: base doubled per attempt, capped.
 Duration backoff_after(Duration base, Duration cap, uint32_t attempt) {
   Duration d = base;
@@ -143,7 +159,7 @@ class TaskContext : public Context {
   void add_record(EdgeId edge, NodeId dst, std::string_view key,
                   std::string_view value) {
     BinBuilder& builder = builders_[static_cast<size_t>(edge) * nodes_ + dst];
-    if (!builder.is_open()) builder.open(job_->epoch, edge, rt_->pool_.get());
+    if (!builder.is_open()) builder.open(job_->epoch, edge);
     builder.add(key, value);
     // Counted locally and charged to the shared counter per flushed bin /
     // at task end - one atomic per record was measurable on 10^6-record
@@ -157,13 +173,7 @@ class TaskContext : public Context {
   void flush_builder(NodeId dst, BinBuilder& builder) {
     if (builder.empty()) return;
     flush_record_count();
-    // The sealed bin becomes a shared body: transport queues, the
-    // retransmission slot and the receiving worker all reference these
-    // bytes, never copy them.
-    std::shared_ptr<const std::string> bin = builder.take_shared(rt_->pool_);
-    rt_->bins_c_->inc();
-    rt_->bin_bytes_c_->add(bin->size());
-    rt_->enqueue_out(dst, rt_->bin_type_, std::move(bin));
+    rt_->send_bin(dst, builder);
   }
 
   void flush_record_count() {
@@ -264,6 +274,14 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   stall_ns_c_ = metrics().counter("engine.stall_ns");
   task_retries_c_ = metrics().counter("engine.task_retries");
   spill_runs_c_ = metrics().counter("sort.spill_runs");
+  spills_c_ = metrics().counter("engine.spills");
+  spill_bytes_c_ = metrics().counter("engine.spill_bytes");
+  spill_retries_c_ = metrics().counter("engine.spill_retries");
+  dup_frames_c_ = metrics().counter("engine.dup_frames");
+  resends_c_ = metrics().counter("engine.resends");
+  frames_lost_c_ = metrics().counter("engine.frames_lost");
+  unacked_frames_g_ = metrics().gauge("engine.unacked_frames");
+  retry_backoff_us_h_ = metrics().histogram("engine.retry_backoff_us");
   stall_us_h_ = metrics().histogram("engine.stall_us");
   task_us_h_ = metrics().histogram("engine.task_us");
   merge_fan_in_h_ = metrics().histogram("sort.merge_fan_in");
@@ -277,9 +295,6 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   hooks.depth = metrics().gauge("engine.bin_queue_depth");
   hooks.bytes = metrics().gauge("engine.bin_queue_bytes");
   sched_.set_hooks(hooks);
-  pool_->set_metrics(metrics().counter("engine.pool_hits"),
-                     metrics().counter("engine.pool_misses"),
-                     metrics().gauge("pool.hit_rate"));
   const uint32_t workers = sched_.workers();
   workers_.reserve(workers);
   for (uint32_t i = 0; i < workers; ++i) {
@@ -359,6 +374,9 @@ void NodeRuntime::on_bin_message(net::Message&& msg) {
   try {
     BinView view(msg.payload.view());
     if (view.job_epoch() != job->epoch) return;  // stale job traffic
+    if (view.edge() >= job->graph->num_edges()) {
+      throw serde::DecodeError("bin names no edge of the job");
+    }
     const GraphEdge& edge = job->graph->edge(view.edge());
     // Log before the pending_bins increment becomes visible so the event's
     // log position always precedes any completion it could enable.
@@ -383,6 +401,17 @@ void NodeRuntime::on_bin_message(net::Message&& msg) {
 }
 
 void NodeRuntime::on_control_message(net::Message&& msg) {
+  auto job = current_job();
+  if (!job) return;
+  // Checked on the delivery thread, as a bin's header is: over TCP these
+  // bytes come from outside the process, and a worker must not throw.
+  try {
+    if (!parse_complete(msg.payload.view(), *job)) return;
+  } catch (const serde::DecodeError& e) {
+    HLOG_ERROR << "node " << node_id() << " malformed control message from "
+               << msg.src << ": " << e.what();
+    return;
+  }
   QueueItem item;
   item.is_control = true;
   item.src = msg.src;
@@ -425,7 +454,7 @@ void NodeRuntime::on_frame_message(net::Message&& msg) {
     std::lock_guard<std::mutex> lock(ch.mu);
     if (seq < ch.next_expected || ch.stash.count(seq) != 0) {
       // Retransmission of a frame we already have (its ack was lost or late).
-      metrics().counter("engine.dup_frames")->inc();
+      dup_frames_c_->inc();
       obs::trace().record_instant("shuffle.dup", "engine.shuffle", node_id(),
                                   -1, static_cast<int64_t>(seq));
     } else {
@@ -475,12 +504,12 @@ void NodeRuntime::on_ack_message(net::Message&& msg) {
     for (auto it = ch.unacked.begin(); it != ch.unacked.end() && it->first < cum;
          it = ch.unacked.erase(it)) {
       // Dropping the entry releases the frame's shared body; when this was
-      // the last reference the buffer's capacity returns to the pool.
+      // the last reference the bin's memory is freed.
       ++erased;
     }
   }
   if (erased != 0) {
-    metrics().gauge("engine.unacked_frames")->sub(static_cast<int64_t>(erased));
+    unacked_frames_g_->sub(static_cast<int64_t>(erased));
   }
 }
 
@@ -570,8 +599,8 @@ void NodeRuntime::worker_loop() {
         } else {
           process_bin(work.item);
         }
-        // Drop the body now, not at batch end: its deleter returns the
-        // buffer to the sending node's pool.
+        // Drop the body now, not at batch end: if this is its last holder,
+        // the bin's memory is freed at once.
         work.item.payload = net::Payload();
       } else {
         work.task();
@@ -654,16 +683,15 @@ void NodeRuntime::process_bin(QueueItem& item) {
 void NodeRuntime::process_control(const QueueItem& item) {
   auto job = current_job();
   if (!job) return;
-  serde::Reader r(item.payload.view());
-  const uint64_t epoch = r.get_varint();
-  if (epoch != job->epoch) return;
-  const uint64_t kind = r.get_varint();
-  const auto flowlet = static_cast<FlowletId>(r.get_varint());
-  if (kind != kCtlComplete) return;
+  // on_control_message checked the bytes against this job's graph, so this
+  // parse cannot throw; a message of an earlier job reads as nothing.
+  const std::optional<FlowletId> flowlet =
+      parse_complete(item.payload.view(), *job);
+  if (!flowlet) return;
 
   // The completed flowlet is the *source*; each distinct downstream flowlet
   // gains one completed channel (per sending node).
-  const GraphNode& src_node = job->graph->flowlet(flowlet);
+  const GraphNode& src_node = job->graph->flowlet(*flowlet);
   std::vector<FlowletId> seen;
   for (EdgeId eid : src_node.out_edges) {
     const FlowletId dst = job->graph->edge(eid).dst;
@@ -1034,28 +1062,31 @@ void NodeRuntime::flush_combine_stripe(internal::JobState& job, EdgeId edge_id,
     stripe.acc = FlatAccTable(arena_bytes_g_);
   }
 
-  // Dense per-destination builders (one vector, no map nodes), pooled output
-  // buffers.
+  // Dense per-destination builders (one vector, no map nodes).
   const uint32_t nodes = engine_->cluster().size();
   std::vector<BinBuilder> builders(nodes);
-  auto send = [&](NodeId dst, BinBuilder& builder) {
-    std::shared_ptr<const std::string> bin = builder.take_shared(pool_);
-    bins_c_->inc();
-    bin_bytes_c_->add(bin->size());
-    enqueue_out(dst, bin_type_, std::move(bin));
-  };
   for (const auto& e : drained.entries()) {
     const NodeId dst = edge.options.partitioner
                            ? edge.options.partitioner(e.key, nodes) % nodes
                            : partition_of(e.key, nodes);
     BinBuilder& builder = builders[dst];
-    if (!builder.is_open()) builder.open(job.epoch, edge_id, pool_.get());
+    if (!builder.is_open()) builder.open(job.epoch, edge_id);
     builder.add(e.key, e.acc);
-    if (builder.payload_bytes() >= config_.bin_size_bytes) send(dst, builder);
+    if (builder.payload_bytes() >= config_.bin_size_bytes) send_bin(dst, builder);
   }
   for (NodeId dst = 0; dst < nodes; ++dst) {
-    if (!builders[dst].empty()) send(dst, builders[dst]);
+    if (!builders[dst].empty()) send_bin(dst, builders[dst]);
   }
+}
+
+void NodeRuntime::send_bin(uint32_t dst, BinBuilder& builder) {
+  // The sealed bin becomes an immutable shared body: transport queues, the
+  // retransmission slot and the receiving worker all reference these bytes,
+  // never copy them, and the last of them to drop it frees it.
+  auto bin = std::make_shared<const std::string>(builder.take());
+  bins_c_->inc();
+  bin_bytes_c_->add(bin->size());
+  enqueue_out(dst, bin_type_, std::move(bin));
 }
 
 void NodeRuntime::flowlet_locally_complete(FlowletId flowlet) {
@@ -1236,7 +1267,7 @@ Duration NodeRuntime::retry_backoff(uint32_t attempt) const {
 void NodeRuntime::retry_bin(QueueItem&& item) {
   task_retries_c_->inc();
   const Duration nap = retry_backoff(item.attempts);
-  metrics().histogram("engine.retry_backoff_us")->observe(
+  retry_backoff_us_h_->observe(
       static_cast<uint64_t>(nap.count() / 1000));
   ++item.attempts;
   // Park the bin on the deferred queue for the (bounded) backoff - no worker
@@ -1257,8 +1288,8 @@ void NodeRuntime::write_spill_with_retry(storage::RunWriter& writer) {
   for (uint32_t attempt = 0;; ++attempt) {
     Result<uint64_t> written = writer.finish();
     if (written.ok()) {
-      metrics().counter("engine.spills")->inc();
-      metrics().counter("engine.spill_bytes")->add(written.value());
+      spills_c_->inc();
+      spill_bytes_c_->add(written.value());
       return;
     }
     if (attempt >= max_retries) {
@@ -1268,11 +1299,11 @@ void NodeRuntime::write_spill_with_retry(storage::RunWriter& writer) {
                  << (attempt + 1) << " times (" << written.status().ToString()
                  << "); forcing unchecked write";
       const uint64_t bytes = writer.close();
-      metrics().counter("engine.spills")->inc();
-      metrics().counter("engine.spill_bytes")->add(bytes);
+      spills_c_->inc();
+      spill_bytes_c_->add(bytes);
       return;
     }
-    metrics().counter("engine.spill_retries")->inc();
+    spill_retries_c_->inc();
     std::this_thread::sleep_for(retry_backoff(attempt));
   }
 }
@@ -1289,8 +1320,8 @@ void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type,
     SendChannel& ch = send_channels_.at(dst);
 
     // The frame is head + shared body: the head carries the seq/ack header
-    // (varint seq | varint type | varint len), the body is the bin's pooled
-    // buffer itself. Live send, outbox, and retransmission slot all
+    // (varint seq | varint type | varint len), the body is the sealed bin
+    // itself. Live send, outbox, and retransmission slot all
     // reference the same bytes.
     ByteBuffer buf;
     serde::Writer w(buf);
@@ -1313,7 +1344,7 @@ void NodeRuntime::enqueue_out(uint32_t dst, uint32_t type,
       obs::trace().record_instant("shuffle.send", "engine.shuffle", node_id(),
                                   -1, static_cast<int64_t>(seq));
     }
-    metrics().gauge("engine.unacked_frames")->inc();
+    unacked_frames_g_->inc();
     raw_enqueue_out(dst, frame_type_, std::move(frame), seq, /*is_frame=*/true);
     return;
   }
@@ -1448,11 +1479,11 @@ void NodeRuntime::resend_due_frames() {
       }
     }
     if (lost != 0) {
-      metrics().counter("engine.frames_lost")->add(lost);
-      metrics().gauge("engine.unacked_frames")->sub(static_cast<int64_t>(lost));
+      frames_lost_c_->add(lost);
+      unacked_frames_g_->sub(static_cast<int64_t>(lost));
     }
     for (auto& [seq, frame] : due) {
-      metrics().counter("engine.resends")->inc();
+      resends_c_->inc();
       obs::trace().record_instant("shuffle.resend", "engine.shuffle",
                                   node_id(), -1,
                                   static_cast<int64_t>(frame.size()));

@@ -45,7 +45,6 @@
 
 #include "cluster/cluster.h"
 #include "common/metrics.h"
-#include "common/pool.h"
 #include "engine/config.h"
 #include "engine/flat_table.h"
 #include "engine/graph.h"
@@ -204,7 +203,7 @@ class NodeRuntime {
     struct Unacked {
       // Framed payload held for retransmission: the seq/ack head plus a view
       // of the same shared body the live send carries - no retransmission
-      // copy. Dropping the entry (on ack) releases the body to the pool.
+      // copy. Dropping the entry (on ack) releases its hold on the body.
       net::Payload frame;
       TimePoint next_resend{};
       uint32_t attempts = 0;
@@ -288,6 +287,8 @@ class NodeRuntime {
   // else as is. Taking the shared body itself leaves no send-side copy.
   void enqueue_out(uint32_t dst, uint32_t type,
                    std::shared_ptr<const std::string> body);
+  // Seals `builder`'s bin, counts it, and sends it to `dst`.
+  void send_bin(uint32_t dst, BinBuilder& builder);
   void raw_enqueue_out(uint32_t dst, uint32_t type, net::Payload payload,
                        uint64_t frame_seq = 0, bool is_frame = false);
   void sender_loop();
@@ -335,6 +336,14 @@ class NodeRuntime {
   Counter* stall_ns_c_ = nullptr;
   Counter* task_retries_c_ = nullptr;
   Counter* spill_runs_c_ = nullptr;
+  Counter* spills_c_ = nullptr;
+  Counter* spill_bytes_c_ = nullptr;
+  Counter* spill_retries_c_ = nullptr;
+  Counter* dup_frames_c_ = nullptr;
+  Counter* resends_c_ = nullptr;
+  Counter* frames_lost_c_ = nullptr;
+  Gauge* unacked_frames_g_ = nullptr;
+  Histogram* retry_backoff_us_h_ = nullptr;
   Histogram* stall_us_h_ = nullptr;
   Histogram* task_us_h_ = nullptr;
   Histogram* merge_fan_in_h_ = nullptr;
@@ -349,12 +358,6 @@ class NodeRuntime {
   Scheduler sched_;
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;
-
-  // Payload buffer recycling: bins acquire their output strings here, and
-  // each sealed body's deleter returns it when the last holder (a peer's
-  // worker, an acked frame's retransmission slot) drops it. Shared so
-  // bodies still held elsewhere at teardown keep the pool alive.
-  std::shared_ptr<BufferPool> pool_ = std::make_shared<BufferPool>();
 
   // Deferred tasks (flow-control stalls, crash-retry backoffs), ordered by
   // deadline; the sender loop drains due entries back onto the scheduler.

@@ -43,7 +43,7 @@ struct QueueItem {
   // carried so completion can advance the flowlet's processed-bin prefix.
   uint64_t bin_index = 0;
   // The message as delivered: a bin's shared body, uncopied since it was
-  // sealed. Dropping it returns the buffer to the sender's pool.
+  // sealed. Dropping the last reference frees it.
   net::Payload payload;
 };
 

@@ -2,8 +2,8 @@
 // Endpoint::send to the worker that processes a message.
 //
 // A Payload is a small owned `head` (frame/sequence headers, built per send)
-// plus an optional immutable shared `body` (the bulk bytes - a shuffle bin
-// built once in a pooled buffer) addressed by offset/length. Copying a
+// plus an optional immutable shared `body` (the bulk bytes - a shuffle bin,
+// written once when it is sealed) addressed by offset/length. Copying a
 // Payload copies the tiny head and bumps the body refcount, so the outbox,
 // the retransmission slot, fault duplicates, the transport queue, the
 // reorder stash and the bin queue all hold the same body bytes: they are
@@ -17,9 +17,8 @@
 // A plain std::string converts implicitly (head-only payload), so callers
 // without a shared body (RPC envelopes, acks, tests) are unaffected.
 //
-// Ownership rule: whoever holds a Payload keeps the body alive. Bodies
-// acquired from a BufferPool return to it automatically when the last
-// holder drops (see pool.h to_shared()), wherever in the stack that happens.
+// Ownership rule: whoever holds a Payload keeps the body alive, and the
+// last holder to drop it - wherever in the stack that is - frees it.
 #pragma once
 
 #include <algorithm>

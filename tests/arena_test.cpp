@@ -1,5 +1,5 @@
 // Unit tests for the hot-path memory/scheduling primitives added by the
-// perf rework: Arena, FlatAccTable, BufferPool, and the engine Scheduler.
+// perf rework: Arena, FlatAccTable, and the engine Scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "common/arena.h"
 #include "common/metrics.h"
-#include "common/pool.h"
 #include "engine/flat_table.h"
 #include "engine/scheduler.h"
 #include "storage/staged_runs.h"
@@ -163,41 +162,6 @@ TEST(KeyPrefix, OrdersLikeLexicographicCompare) {
       // nothing to check here.
     }
   }
-}
-
-// --- BufferPool -------------------------------------------------------------
-
-TEST(BufferPool, RecyclesCapacityAndCountsHits) {
-  BufferPool pool(/*max_buffers=*/4, /*max_buffer_bytes=*/1024);
-  Counter hits, misses;
-  pool.set_metrics(&hits, &misses);
-
-  std::string a = pool.acquire();
-  EXPECT_EQ(misses.get(), 1u);
-  a.assign(500, 'x');
-  const size_t cap = a.capacity();
-  pool.release(std::move(a));
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  std::string b = pool.acquire();
-  EXPECT_EQ(hits.get(), 1u);
-  EXPECT_TRUE(b.empty());
-  EXPECT_GE(b.capacity(), cap);  // the heap buffer survived the round trip
-}
-
-TEST(BufferPool, DropsOversizedAndSurplusBuffers) {
-  BufferPool pool(/*max_buffers=*/2, /*max_buffer_bytes=*/100);
-
-  std::string big(1000, 'x');
-  pool.release(std::move(big));
-  EXPECT_EQ(pool.free_count(), 0u);  // over max_buffer_bytes: dropped
-
-  for (int i = 0; i < 5; ++i) {
-    std::string s(50, 'y');
-    s.shrink_to_fit();
-    pool.release(std::move(s));
-  }
-  EXPECT_LE(pool.free_count(), 2u);  // bounded at max_buffers
 }
 
 // --- Scheduler ---------------------------------------------------------------

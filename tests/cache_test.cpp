@@ -100,6 +100,40 @@ TEST(DatasetCache, CommitPublishesFramedRecordsPerShard) {
   EXPECT_EQ(dcache.stats().hits, 1u);
 }
 
+TEST(DatasetCache, BlocksSealBeforeCrossingTheTargetSize) {
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(1));
+  DatasetCache dcache(cluster, small_budget(1 << 20));  // 1024-byte blocks
+
+  std::vector<std::pair<std::string, std::string>> records;
+  for (int i = 0; i < 400; ++i) {
+    records.emplace_back("k" + std::to_string(i),
+                         std::string(static_cast<size_t>(i % 97), 'v'));
+  }
+  records.emplace(records.begin() + 200, "big", std::string(3000, 'x'));
+  auto writer = dcache.begin("t/blocks");
+  for (const auto& [key, value] : records) writer->append(0, key, value);
+  ASSERT_TRUE(writer->commit());
+
+  auto ds = dcache.pin("t/blocks");
+  ASSERT_NE(ds, nullptr);
+  const Dataset::Shard& shard = ds->shard(0);
+  ASSERT_GT(shard.blocks.size(), 1u);
+  // The 3000-byte record (framed: 1 + 3 + 2 + 3000 bytes) fills a block of
+  // its own; every other block stays inside the buffer reserved for it.
+  const size_t big_block = 1 + 3 + 2 + 3000;
+  size_t big_blocks = 0;
+  for (const auto& block : shard.blocks) {
+    if (block->size() == big_block) {
+      ++big_blocks;
+      continue;
+    }
+    EXPECT_LE(block->size(), 1024u);
+    EXPECT_LE(block->capacity(), 1024u);
+  }
+  EXPECT_EQ(big_blocks, 1u);
+  EXPECT_EQ(read_shard(*ds, 0), records);
+}
+
 TEST(DatasetCache, LruEvictsUnpinnedDatasetsToFitBudget) {
   cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
   obs::EventLog log;

@@ -17,6 +17,7 @@
 #include "engine/loaders.h"
 #include "engine/rate_gate.h"
 #include "obs/event_log.h"
+#include "serde/serde.h"
 
 using namespace hamr;
 using namespace hamr::engine;
@@ -197,6 +198,12 @@ TEST(Bin, BuilderViewRoundTrip) {
 
 TEST(Bin, MalformedBinThrows) {
   EXPECT_THROW(BinView(std::string_view("\xff")), serde::DecodeError);
+  // An edge id wider than EdgeId: epoch 1, edge 2^32, count 0.
+  std::string wide_edge;
+  serde::put_varint(wide_edge, 1);
+  serde::put_varint(wide_edge, uint64_t{1} << 32);
+  serde::put_varint(wide_edge, 0);
+  EXPECT_THROW(BinView{wide_edge}, serde::DecodeError);
 }
 
 // --- RateGate --------------------------------------------------------------------
@@ -241,6 +248,69 @@ TEST(Engine, LoaderToMapDeliversAllRecords) {
   EXPECT_EQ(got.size(), 400u);
   EXPECT_EQ(got.count("k0\tv0"), 1u);
   EXPECT_EQ(got.count("k399\tv399"), 1u);
+}
+
+// Loads like SyntheticLoader, but node 0's first chunk first sends node 1
+// four engine messages that node 1 must log and drop: a control body cut
+// short after the epoch, a COMPLETE (kind 1) naming a flowlet the job does
+// not have, a bin for an edge the job does not have, and a bin whose edge
+// id 2^32 would alias edge 0 if narrowed unchecked. A fresh engine's first
+// job runs at epoch 1. Node 0's own bins and COMPLETE follow on the same
+// link, so node 1 receives all four while the job runs.
+class MalformedMessageLoader : public SyntheticLoader {
+ public:
+  MalformedMessageLoader(cluster::Cluster* cluster, std::atomic<bool>* sent)
+      : cluster_(cluster), sent_(sent) {}
+
+  bool load_chunk(const InputSplit& split, uint64_t* cursor, Context& ctx) override {
+    if (ctx.node() == 0 && !sent_->exchange(true)) {
+      net::Endpoint* ep = cluster_->node(0).router().endpoint();
+      std::string epoch_only;
+      serde::put_varint(epoch_only, 1);
+      ep->send(1, net::msg_type::kEngineControl, epoch_only);
+      std::string unknown_flowlet = epoch_only;
+      serde::put_varint(unknown_flowlet, 1);
+      serde::put_varint(unknown_flowlet, 99);
+      ep->send(1, net::msg_type::kEngineControl, unknown_flowlet);
+      BinBuilder bin(1, 99);
+      bin.add("k", "v");
+      ep->send(1, net::msg_type::kEngineBin, bin.take());
+      std::string wide_edge = epoch_only;
+      serde::put_varint(wide_edge, uint64_t{1} << 32);
+      serde::put_varint(wide_edge, 1);  // record count
+      serde::put_varint(wide_edge, 1);
+      wide_edge += "k";
+      serde::put_varint(wide_edge, 1);
+      wide_edge += "v";
+      ep->send(1, net::msg_type::kEngineBin, wide_edge);
+    }
+    return SyntheticLoader::load_chunk(split, cursor, ctx);
+  }
+
+ private:
+  cluster::Cluster* cluster_;
+  std::atomic<bool>* sent_;
+};
+
+TEST(Engine, MalformedControlAndBinMessagesAreDropped) {
+  Env env(4);
+  std::atomic<bool> sent{false};
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [&] {
+    return std::make_unique<MalformedMessageLoader>(&env.cluster, &sent);
+  });
+  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
+  g.connect(loader, sink);
+  const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(result.metrics.counter("engine.records"), 400u);
+
+  const auto got = collected(env.cluster);
+  EXPECT_EQ(got.size(), 400u);
+  for (uint32_t i = 0; i < 400; ++i) {
+    const std::string id = std::to_string(i);
+    EXPECT_EQ(got.count("k" + id + "\tv" + id), 1u) << id;
+  }
 }
 
 TEST(Engine, KeyRoutingSendsEachKeyToOneNode) {
