@@ -6,8 +6,12 @@
 //   Q1  filtered group-by        - scan + filter fused into the loaders, one
 //                                  shuffle into a combining fold;
 //   Q2  join + group-by          - two shuffle stages (the BigBench shape);
-//   Q3  join + filter + project  - post-join predicate runs as a local-edge
-//                                  fused map, top-K by price client-side;
+//                                  push_down prunes store_sales to the two
+//                                  columns read above the join;
+//   Q3  join + filter + project  - push_down moves the category predicate
+//                                  into the item loader, below the join, so
+//                                  only electronics rows are shuffled;
+//                                  top-K by price client-side;
 //   Q4  filter + project scan    - zero-shuffle, loader-fused.
 // Every query is checked against the in-memory reference evaluator before
 // its numbers are reported (--verify=0 skips, for large --rows runs).

@@ -67,7 +67,9 @@ class Arena {
   // Copies `bytes` into the arena and returns the stable copy.
   std::string_view store(std::string_view bytes) {
     char* p = alloc(bytes.size());
-    std::memcpy(p, bytes.data(), bytes.size());
+    // An empty first slice is the fresh arena's null head: memcpy's
+    // arguments must be non-null even for 0 bytes.
+    if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
     return {p, bytes.size()};
   }
 

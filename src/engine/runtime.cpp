@@ -177,9 +177,14 @@ class TaskContext : public Context {
   }
 
   void flush_record_count() {
-    if (records_pending_ == 0) return;
-    rt_->records_c_->add(records_pending_);
-    records_pending_ = 0;
+    if (records_pending_ != 0) {
+      rt_->records_c_->add(records_pending_);
+      records_pending_ = 0;
+    }
+    if (combine_folds_pending_ != 0) {
+      rt_->combine_folds_c_->add(combine_folds_pending_);
+      combine_folds_pending_ = 0;
+    }
   }
 
   // Sender-side combining: fold into the node-shared combine table for this
@@ -205,10 +210,12 @@ class TaskContext : public Context {
       dst_flowlet->fold(key, value, acc);
       overflow = stripe.acc.size() > kCombineStripeKeys;
     }
-    rt_->combine_folds_c_->inc();
+    // Counted per task, like records_pending_, and flushed with it.
+    ++combine_folds_pending_;
     // Debt is keyed by the gate pointer itself, so the batch charge at task
-    // end does not re-resolve graph edge -> table -> stripe per entry.
-    combine_gate_debt_[stripe.gate.get()] += 1;
+    // end does not re-resolve graph edge -> table -> stripe per entry. A
+    // disabled gate charges nothing, so it accrues no debt.
+    if (stripe.gate->enabled()) combine_gate_debt_[stripe.gate.get()] += 1;
     if (overflow) {
       charge_combine_gates();
       rt_->flush_combine_stripe(*job_, edge.id, si);
@@ -230,6 +237,7 @@ class TaskContext : public Context {
   std::vector<BinBuilder> builders_;  // indexed by edge * nodes_ + dst
   std::vector<const GraphEdge*> out_edges_;  // per-port cache, lazily filled
   uint64_t records_pending_ = 0;
+  uint64_t combine_folds_pending_ = 0;
   std::map<RateGate*, uint64_t> combine_gate_debt_;
 };
 
@@ -645,7 +653,10 @@ void NodeRuntime::process_bin(QueueItem& item) {
                               ? "task.fold"
                               : "task.stage";
   const TimePoint t0 = now();
-  {
+  // on_bin_message checked only the header. Over TCP a record cut short
+  // comes from outside the process: the worker logs it and drops the rest of
+  // the bin, and the completion bookkeeping below still runs.
+  try {
     obs::TraceSpan span(task_name, "engine.task", node_id(), edge.dst, records);
     switch (fs.kind) {
       case FlowletKind::kMap: {
@@ -665,6 +676,9 @@ void NodeRuntime::process_bin(QueueItem& item) {
         HLOG_ERROR << "bin routed to loader flowlet " << edge.dst;
         break;
     }
+  } catch (const serde::DecodeError& e) {
+    HLOG_ERROR << "node " << node_id() << " malformed bin from " << item.src
+               << " for flowlet " << edge.dst << ": " << e.what();
   }
   const auto task_us = static_cast<uint64_t>((now() - t0).count() / 1000);
   task_us_h_->observe(task_us);
@@ -852,8 +866,15 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
   // shuffle receive path. Record views stay valid while `bin` is alive.
   thread_local std::vector<std::vector<KvPair>> buckets(internal::kReduceStages);
   KvPair record;
-  while (bin.next(&record)) {
-    buckets[stage_of(record.key)].push_back(record);
+  try {
+    while (bin.next(&record)) {
+      buckets[stage_of(record.key)].push_back(record);
+    }
+  } catch (const serde::DecodeError&) {
+    // The views point into this bin: stage none of it, and leave no view
+    // behind for this thread's next bin.
+    for (std::vector<KvPair>& bucket : buckets) bucket.clear();
+    throw;
   }
 
   for (uint32_t si = 0; si < internal::kReduceStages; ++si) {

@@ -117,6 +117,14 @@ PlanPtr group_by(PlanPtr child, std::vector<uint32_t> keys,
 // schema. Throws std::invalid_argument on any violation.
 Schema output_schema(const Plan& plan, const Catalog& catalog);
 
+// The plan lower_ir runs in place of `plan` (push_down.cpp): each top-level
+// AND conjunct of a filter moves below projects and onto the join input
+// whose columns it reads (one that reads both inputs stays above the join;
+// none crosses a group-by), and each join input is projected down to the
+// columns the operators above read. The output schema, names included, is
+// `plan`'s. Throws std::invalid_argument like output_schema.
+PlanPtr push_down(const Plan& plan, const Catalog& catalog);
+
 // Distinct table names scanned anywhere in the tree, in first-visit order.
 std::vector<std::string> scan_tables(const Plan& plan);
 

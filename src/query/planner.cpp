@@ -265,7 +265,8 @@ ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
 ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
                    const StagedTables& staged, const std::string& tag,
                    std::string* out_prefix_out) {
-  output_schema(plan, catalog);  // validates the tree
+  // Validates the tree; the rewritten plan's output schema is the original's.
+  const PlanPtr rewritten = push_down(plan, catalog);
   const std::string out_prefix = "out/query/" + tag + "/";
   if (out_prefix_out != nullptr) *out_prefix_out = out_prefix;
 
@@ -276,8 +277,8 @@ ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
 
   EmitSpec top_emit;
   top_emit.mode = EmitSpec::Mode::kLocalRow;
-  top_emit.schema = output_schema(plan, catalog);
-  const ir::NodeId top = lower_node(plan, top_emit, ctx);
+  top_emit.schema = output_schema(*rewritten, catalog);
+  const ir::NodeId top = lower_node(*rewritten, top_emit, ctx);
   ctx.graph.connect(top, sink, engine::local_edge());
   return ctx.graph;
 }

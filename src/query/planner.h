@@ -8,8 +8,9 @@
 //                        the nodes and write one framed-row shard file per
 //                        node into its local store (the DFS-resident-input
 //                        analog: scans read node-local disks, paper §5.1);
-//   2. lower()         - recursively compile the plan tree into an
-//                        ir::Graph and lower it through ir::optimize +
+//   2. lower()         - rewrite the plan with push_down (filters and
+//                        column pruning below joins), recursively compile
+//                        it into an ir::Graph and lower it through ir::optimize +
 //                        ir::lower. Filter/project chains fold into the
 //                        flowlet below them (the scan loader when the base
 //                        is a scan, a fusible local-edge map otherwise);
@@ -72,7 +73,7 @@ struct Lowered {
   std::string out_prefix;  // "out/query/<tag>/"
 };
 
-// Compiles the plan tree into flowlet IR (throws std::invalid_argument like
+// Compiles push_down(plan) into flowlet IR (throws std::invalid_argument like
 // output_schema). The graph is un-optimized: callers inspect/dump it, then
 // run it through ir::optimize + ir::lower - which is exactly what lower()
 // does. `out_prefix_out` receives the sink's output prefix when non-null.

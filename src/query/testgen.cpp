@@ -1,6 +1,7 @@
 #include "query/testgen.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 
 namespace hamr::query {
@@ -12,6 +13,7 @@ const char* family_name(Family family) {
     case Family::kJoin: return "join";
     case Family::kGroupBy: return "group_by";
     case Family::kJoinGroupBy: return "join_group_by";
+    case Family::kJoinFilter: return "join_filter";
   }
   return "?";
 }
@@ -141,6 +143,63 @@ PlanPtr maybe_filter(std::mt19937_64& rng, PlanPtr plan, const Table& table) {
   return filter(std::move(plan), random_pred(rng, table));
 }
 
+// `expr` with every column index c replaced by f(c).
+template <typename F>
+Expr remapped(Expr expr, const F& f) {
+  if (expr.kind == Expr::Kind::kCmp) expr.col = f(expr.col);
+  for (Expr& c : expr.children) c = remapped(std::move(c), f);
+  return expr;
+}
+
+Expr shifted(Expr expr, uint32_t by) {
+  return remapped(std::move(expr), [by](uint32_t c) { return c + by; });
+}
+
+// A comparison of a random column against that column's median with an
+// order operator: it and its negation each keep about half the rows, so a
+// conjunction of several still leaves rows to compare. `table` must have
+// rows.
+Expr wide_leaf(std::mt19937_64& rng, const Table& table) {
+  const uint32_t col = pick(rng, static_cast<uint32_t>(table.schema.size()));
+  std::vector<Value> values;
+  for (const Row& row : table.rows) values.push_back(row[col]);
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end(),
+                   [](const Value& a, const Value& b) {
+                     switch (a.type) {
+                       case ColType::kI64: return a.i < b.i;
+                       case ColType::kF64: return a.f < b.f;
+                       case ColType::kStr: return a.s < b.s;
+                     }
+                     return false;
+                   });
+  return Expr::cmp(col, static_cast<CmpOp>(2 + pick(rng, 4)), *mid);
+}
+
+// One conjunct over the join of `left` and `right` (right columns follow
+// the left ones): left-only (sometimes an OR within the left side),
+// right-only, an OR across the two sides, or a NOT of either.
+Expr random_join_conjunct(std::mt19937_64& rng, const Table& left,
+                          const Table& right) {
+  const uint32_t left_width = static_cast<uint32_t>(left.schema.size());
+  const auto right_leaf = [&] {
+    return shifted(wide_leaf(rng, right), left_width);
+  };
+  const auto across = [&] {
+    return Expr::or_of({wide_leaf(rng, left), right_leaf()});
+  };
+  switch (pick(rng, 5)) {
+    case 0:
+      if (pick(rng, 2) == 0) return wide_leaf(rng, left);
+      return Expr::or_of({wide_leaf(rng, left), wide_leaf(rng, left)});
+    case 1: return right_leaf();
+    case 2: return across();
+    case 3: return Expr::not_of(across());
+    default:
+      return Expr::not_of(pick(rng, 2) ? wide_leaf(rng, left) : right_leaf());
+  }
+}
+
 }  // namespace
 
 Table random_table(std::mt19937_64& rng, uint32_t rows) {
@@ -220,6 +279,68 @@ GeneratedQuery generate_query(Family family, uint64_t seed) {
       } else {
         q.plan = group_by(std::move(joined), random_keys(rng, joined_schema),
                           random_aggs(rng, joined_schema));
+      }
+      q.catalog.tables["t2"] = std::move(t2);
+      break;
+    }
+
+    case Family::kJoinFilter: {
+      // Both tables have rows, so the join and its filters keep some.
+      t1 = random_table(rng, 20 + pick(rng, 181));
+      Table t2 = random_table(rng, 20 + pick(rng, 181));
+      correlate_keys(rng, &t2, {0}, t1, {0});
+      // Sometimes a filter already sits on an input, so pushed conjuncts
+      // join it there.
+      const auto input = [&](const char* name, const Table& table) {
+        PlanPtr plan = scan(name);
+        if (pick(rng, 2) == 0) return plan;
+        return filter(std::move(plan), wide_leaf(rng, table));
+      };
+      PlanPtr left = input("t1", t1);  // drawn first: argument order is unspecified
+      PlanPtr joined = hash_join(std::move(left), input("t2", t2), 0, 0);
+      Catalog tmp;
+      tmp.tables["t1"] = t1;
+      tmp.tables["t2"] = t2;
+      const Schema joined_schema = output_schema(*joined, tmp);
+
+      // 2-3 conjuncts; the last two sometimes nest in an inner AND.
+      std::vector<Expr> conjuncts;
+      const uint32_t count = 2 + pick(rng, 2);
+      for (uint32_t i = 0; i < count; ++i) {
+        conjuncts.push_back(random_join_conjunct(rng, t1, t2));
+      }
+      if (pick(rng, 2) == 0) {
+        Expr inner = Expr::and_of({std::move(conjuncts[count - 2]),
+                                   std::move(conjuncts[count - 1])});
+        conjuncts.resize(count - 2);
+        conjuncts.push_back(std::move(inner));
+      }
+      Expr pred = Expr::and_of(std::move(conjuncts));
+
+      switch (pick(rng, 4)) {
+        case 0:
+          q.plan = filter(std::move(joined), std::move(pred));
+          break;
+        case 1:
+          q.plan = project(filter(std::move(joined), std::move(pred)),
+                           random_projection(rng, joined_schema));
+          break;
+        case 2:
+          q.plan = group_by(filter(std::move(joined), std::move(pred)),
+                            random_keys(rng, joined_schema),
+                            random_aggs(rng, joined_schema));
+          break;
+        default: {
+          // The filter sits above a project that reverses the joined
+          // columns, so its indexes remap through the projection list.
+          const uint32_t n = static_cast<uint32_t>(joined_schema.size());
+          std::vector<uint32_t> reversed;
+          for (uint32_t c = n; c > 0; --c) reversed.push_back(c - 1);
+          q.plan = filter(
+              project(std::move(joined), std::move(reversed)),
+              remapped(std::move(pred), [n](uint32_t c) { return n - 1 - c; }));
+          break;
+        }
       }
       q.catalog.tables["t2"] = std::move(t2);
       break;

@@ -30,6 +30,9 @@ enum class Family {
   kJoin,          // hash_join of two scans, filters below, project above
   kGroupBy,       // group_by over (optionally filtered) scan
   kJoinGroupBy,   // group_by over hash_join - the BigBench shape
+  kJoinFilter,    // filter above hash_join: left-only, right-only, both-side,
+                  // OR-across-sides and NOT conjuncts, sometimes under a
+                  // project or group_by (push_down's cases)
 };
 
 const char* family_name(Family family);

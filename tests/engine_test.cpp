@@ -313,6 +313,55 @@ TEST(Engine, MalformedControlAndBinMessagesAreDropped) {
   }
 }
 
+// Loads like SyntheticLoader, but node 0's first chunk first sends node 1 a
+// bin for the job's real edge 0 whose header is valid and whose first
+// record's key length runs past the end of the bin. The worker that
+// processes it must log it and drop it, not abort the process.
+class TruncatedBinLoader : public SyntheticLoader {
+ public:
+  TruncatedBinLoader(cluster::Cluster* cluster, std::atomic<bool>* sent)
+      : cluster_(cluster), sent_(sent) {}
+
+  bool load_chunk(const InputSplit& split, uint64_t* cursor, Context& ctx) override {
+    if (ctx.node() == 0 && !sent_->exchange(true)) {
+      std::string bin;
+      serde::put_varint(bin, 1);    // epoch of a fresh engine's first job
+      serde::put_varint(bin, 0);    // edge 0: loader -> sink
+      serde::put_varint(bin, 1);    // record count
+      serde::put_varint(bin, 100);  // key length, but one byte follows
+      bin += "k";
+      cluster_->node(0).router().endpoint()->send(1, net::msg_type::kEngineBin,
+                                                   bin);
+    }
+    return SyntheticLoader::load_chunk(split, cursor, ctx);
+  }
+
+ private:
+  cluster::Cluster* cluster_;
+  std::atomic<bool>* sent_;
+};
+
+TEST(Engine, BinWithATruncatedRecordIsDroppedAndTheJobFinishes) {
+  Env env(4);
+  std::atomic<bool> sent{false};
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [&] {
+    return std::make_unique<TruncatedBinLoader>(&env.cluster, &sent);
+  });
+  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
+  g.connect(loader, sink);
+  const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(result.metrics.counter("engine.records"), 400u);
+
+  const auto got = collected(env.cluster);
+  EXPECT_EQ(got.size(), 400u);
+  for (uint32_t i = 0; i < 400; ++i) {
+    const std::string id = std::to_string(i);
+    EXPECT_EQ(got.count("k" + id + "\tv" + id), 1u) << id;
+  }
+}
+
 TEST(Engine, KeyRoutingSendsEachKeyToOneNode) {
   Env env(4);
   FlowletGraph g;

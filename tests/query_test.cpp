@@ -90,6 +90,18 @@ TEST_F(QueryDifferential, JoinGroupByMatchesReference) {
   run_family(Family::kJoinGroupBy);
 }
 
+TEST_F(QueryDifferential, JoinFilterMatchesReference) {
+  run_family(Family::kJoinFilter);
+  // The family checks rows that pass filters pushed below a join, so most
+  // of its seeds must keep some.
+  uint64_t kept = 0;
+  for (uint64_t seed = 0; seed < kSeedsPerFamily; ++seed) {
+    GeneratedQuery q = generate_query(Family::kJoinFilter, seed);
+    kept += reference_eval(*q.plan, q.catalog).empty() ? 0 : 1;
+  }
+  EXPECT_GE(kept, kSeedsPerFamily / 2);
+}
+
 // ---- Targeted edge cases ---------------------------------------------------
 
 Table three_col_table() {
@@ -275,11 +287,13 @@ TEST_F(QueryDifferential, JoinThenFusedFilterProjectNestsEmitsIntoSink) {
   // fused map, which emits into the fused sink, all on one worker thread -
   // each level must encode into its own buffers.
   const Catalog catalog = reuse_catalog();
+  // The OR reads both join inputs, so push_down keeps the filter above the
+  // join, in the fused map.
   auto joined_chain = [] {
     return project(
         filter(hash_join(scan("t1"), scan("t2"), 0, 0),
-               Expr::and_of({Expr::cmp(3, CmpOp::kLt, V("6")),
-                             Expr::cmp(5, CmpOp::kLe, V(1.5))})),
+               Expr::or_of({Expr::cmp(3, CmpOp::kLt, V("6")),
+                            Expr::cmp(5, CmpOp::kLe, V(1.5))})),
         {6, 0, 2, 6, 5});
   };
   PlanPtr plan = joined_chain();
@@ -464,6 +478,185 @@ TEST(QueryService, ConcurrentQueriesMatchReferenceThroughJobService) {
       s2.out_schema, decode_payload(s2.out_schema, s2.ticket->payload()));
   EXPECT_EQ(got1, canonical(s1.out_schema, reference_eval(*q1.plan, q1.catalog)));
   EXPECT_EQ(got2, canonical(s2.out_schema, reference_eval(*q2.plan, q2.catalog)));
+}
+
+// ---- push_down -------------------------------------------------------------
+//
+// lower_ir runs push_down(plan); reference_eval runs the plan as written, so
+// the differential suite above checks the rewrite's semantics. These tests
+// pin its shapes.
+
+const std::vector<Family> kAllFamilies = {
+    Family::kScanFilter, Family::kProject,     Family::kJoin,
+    Family::kGroupBy,    Family::kJoinGroupBy, Family::kJoinFilter};
+
+// Column names and types, in order.
+std::vector<std::pair<std::string, ColType>> columns(const Schema& schema) {
+  std::vector<std::pair<std::string, ColType>> out;
+  for (const Column& c : schema.cols) out.emplace_back(c.name, c.type);
+  return out;
+}
+
+// Bit 0: the expression reads a left column; bit 1: a right column.
+int sides_read(const Expr& e, uint32_t left_width) {
+  int sides = e.kind == Expr::Kind::kCmp ? (e.col < left_width ? 1 : 2) : 0;
+  for (const Expr& c : e.children) sides |= sides_read(c, left_width);
+  return sides;
+}
+
+// Every filter directly above a join holds only conjuncts that read both of
+// its inputs; the conjunct list is the flattened top-level AND.
+void expect_no_one_sided_conjunct_above_a_join(const Plan& plan,
+                                               const Catalog& catalog) {
+  if (plan.kind == Plan::Kind::kFilter &&
+      plan.child->kind == Plan::Kind::kJoin) {
+    const auto left_width = static_cast<uint32_t>(
+        output_schema(*plan.child->child, catalog).size());
+    const bool is_and = plan.pred.kind == Expr::Kind::kAnd;
+    const std::vector<Expr> conjuncts =
+        is_and ? plan.pred.children : std::vector<Expr>{plan.pred};
+    for (const Expr& c : conjuncts) {
+      EXPECT_NE(c.kind, Expr::Kind::kAnd) << "nested AND not flattened";
+      EXPECT_EQ(sides_read(c, left_width), 3);
+    }
+  }
+  if (plan.child) expect_no_one_sided_conjunct_above_a_join(*plan.child, catalog);
+  if (plan.right) expect_no_one_sided_conjunct_above_a_join(*plan.right, catalog);
+}
+
+TEST(QueryPushDown, KeepsOutputSchemaForEveryFamilyAndSeed) {
+  for (Family family : kAllFamilies) {
+    for (uint64_t seed = 0; seed < kSeedsPerFamily; ++seed) {
+      GeneratedQuery q = generate_query(family, seed);
+      SCOPED_TRACE(std::string(family_name(family)) + "_" + std::to_string(seed));
+      const PlanPtr rewritten = push_down(*q.plan, q.catalog);
+      EXPECT_EQ(columns(output_schema(*rewritten, q.catalog)),
+                columns(output_schema(*q.plan, q.catalog)));
+      expect_no_one_sided_conjunct_above_a_join(*rewritten, q.catalog);
+    }
+  }
+}
+
+// store_sales(ss_item_sk, ss_customer_sk, ss_quantity, ss_sales_price) and
+// item(i_item_sk, i_category, i_price), as in bench/query_bigbench.cpp.
+Catalog bigbench_catalog() {
+  Catalog catalog;
+  catalog.tables["store_sales"].schema.cols = {
+      {"ss_item_sk", ColType::kI64},
+      {"ss_customer_sk", ColType::kI64},
+      {"ss_quantity", ColType::kI64},
+      {"ss_sales_price", ColType::kF64}};
+  catalog.tables["item"].schema.cols = {{"i_item_sk", ColType::kI64},
+                                        {"i_category", ColType::kStr},
+                                        {"i_price", ColType::kF64}};
+  return catalog;
+}
+
+TEST(QueryPushDown, BigBenchQ3FiltersRunOnTheScansBelowTheJoin) {
+  const Catalog catalog = bigbench_catalog();
+  // Q3: bulk electronics purchases (joined columns: sales 0-3, item 4-6).
+  const PlanPtr q3 = project(
+      filter(hash_join(scan("store_sales"), scan("item"), 0, 0),
+             Expr::and_of({Expr::cmp(5, CmpOp::kEq, V("electronics")),
+                           Expr::cmp(2, CmpOp::kGt, V(int64_t{90}))})),
+      {1, 0, 3});
+  const PlanPtr got = push_down(*q3, catalog);
+
+  ASSERT_EQ(got->kind, Plan::Kind::kProject);
+  const Plan& join = *got->child;
+  ASSERT_EQ(join.kind, Plan::Kind::kJoin) << "a filter stayed above the join";
+
+  // store_sales: quantity > 90 on the scan, then only the columns read above.
+  ASSERT_EQ(join.child->kind, Plan::Kind::kProject);
+  EXPECT_EQ(join.child->cols, (std::vector<uint32_t>{0, 1, 3}));
+  const Plan& sales_filter = *join.child->child;
+  ASSERT_EQ(sales_filter.kind, Plan::Kind::kFilter);
+  EXPECT_EQ(sales_filter.child->kind, Plan::Kind::kScan);
+  EXPECT_EQ(sales_filter.child->table, "store_sales");
+  EXPECT_EQ(sales_filter.pred.kind, Expr::Kind::kCmp);
+  EXPECT_EQ(sales_filter.pred.col, 2u);
+  EXPECT_EQ(sales_filter.pred.op, CmpOp::kGt);
+  EXPECT_EQ(sales_filter.pred.literal, V(int64_t{90}));
+
+  // item: category = electronics on the scan; only the join key goes on.
+  ASSERT_EQ(join.right->kind, Plan::Kind::kProject);
+  EXPECT_EQ(join.right->cols, (std::vector<uint32_t>{0}));
+  const Plan& item_filter = *join.right->child;
+  ASSERT_EQ(item_filter.kind, Plan::Kind::kFilter);
+  EXPECT_EQ(item_filter.child->kind, Plan::Kind::kScan);
+  EXPECT_EQ(item_filter.child->table, "item");
+  EXPECT_EQ(item_filter.pred.col, 1u);
+  EXPECT_EQ(item_filter.pred.literal, V("electronics"));
+
+  EXPECT_EQ(got->cols, (std::vector<uint32_t>{1, 0, 2}));
+  EXPECT_EQ(columns(output_schema(*got, catalog)),
+            columns(output_schema(*q3, catalog)));
+}
+
+TEST(QueryPushDown, BigBenchQ2ShufflesOnlyTheSalesColumnsItReads) {
+  const Catalog catalog = bigbench_catalog();
+  // Q2: revenue by category.
+  const PlanPtr q2 =
+      group_by(hash_join(scan("store_sales"), scan("item"), 0, 0), {5},
+               {{AggKind::kCount, 0}, {AggKind::kSum, 3}, {AggKind::kMax, 6}});
+  const PlanPtr got = push_down(*q2, catalog);
+
+  ASSERT_EQ(got->kind, Plan::Kind::kGroupBy);
+  const Plan& join = *got->child;
+  ASSERT_EQ(join.kind, Plan::Kind::kJoin);
+  ASSERT_EQ(join.child->kind, Plan::Kind::kProject);
+  EXPECT_EQ(join.child->child->kind, Plan::Kind::kScan);
+  EXPECT_EQ(columns(output_schema(*join.child, catalog)),
+            (std::vector<std::pair<std::string, ColType>>{
+                {"ss_item_sk", ColType::kI64},
+                {"ss_sales_price", ColType::kF64}}));
+  // item keeps all three columns, so it gets no project.
+  EXPECT_EQ(join.right->kind, Plan::Kind::kScan);
+  EXPECT_EQ(got->keys, (std::vector<uint32_t>{3}));
+  EXPECT_EQ(got->aggs[1].col, 1u);
+  EXPECT_EQ(got->aggs[2].col, 4u);
+  EXPECT_EQ(columns(output_schema(*got, catalog)),
+            columns(output_schema(*q2, catalog)));
+}
+
+TEST(QueryPushDown, OnlyOneSidedConjunctsCrossAJoinAndNoneCrossAGroupBy) {
+  Catalog catalog;
+  catalog.tables["t1"] = three_col_table();
+  catalog.tables["t2"] = three_col_table();
+  // Joined columns: t1 0-2, t2 3-5. A filter over a project that swaps the
+  // two sides, holding a nested AND of: a NOT over t2 alone, an OR across
+  // the sides, and a t1-only comparison.
+  const PlanPtr plan = filter(
+      project(hash_join(scan("t1"), scan("t2"), 0, 0), {3, 4, 5, 0, 1, 2}),
+      Expr::and_of(
+          {Expr::not_of(Expr::cmp(2, CmpOp::kEq, V("x"))),
+           Expr::and_of({Expr::or_of({Expr::cmp(0, CmpOp::kLt, V(int64_t{3})),
+                                      Expr::cmp(3, CmpOp::kGt, V(int64_t{5}))}),
+                         Expr::cmp(4, CmpOp::kLe, V(1.5))})}));
+  const PlanPtr got = push_down(*plan, catalog);
+
+  ASSERT_EQ(got->kind, Plan::Kind::kProject);  // the filter moved below it
+  const Plan& above = *got->child;
+  ASSERT_EQ(above.kind, Plan::Kind::kFilter);
+  EXPECT_EQ(above.pred.kind, Expr::Kind::kOr);  // the cross-side conjunct
+  EXPECT_EQ(above.pred.children[0].col, 3u);    // remapped through the project
+  EXPECT_EQ(above.pred.children[1].col, 0u);
+  const Plan& join = *above.child;
+  ASSERT_EQ(join.kind, Plan::Kind::kJoin);
+  ASSERT_EQ(join.child->kind, Plan::Kind::kFilter);
+  EXPECT_EQ(join.child->pred.col, 1u);  // t1.v <= 1.5
+  ASSERT_EQ(join.right->kind, Plan::Kind::kFilter);
+  EXPECT_EQ(join.right->pred.kind, Expr::Kind::kNot);  // NOT t2.s = "x"
+  EXPECT_EQ(join.right->pred.children[0].col, 2u);
+
+  // A filter above a group-by stays there, even on a group key.
+  const PlanPtr grouped =
+      filter(group_by(hash_join(scan("t1"), scan("t2"), 0, 0), {0},
+                      {{AggKind::kCount, 0}}),
+             Expr::cmp(0, CmpOp::kGt, V(int64_t{1})));
+  const PlanPtr kept = push_down(*grouped, catalog);
+  ASSERT_EQ(kept->kind, Plan::Kind::kFilter);
+  EXPECT_EQ(kept->child->kind, Plan::Kind::kGroupBy);
 }
 
 // ---- Plan validation -------------------------------------------------------
