@@ -162,9 +162,16 @@ class PartialReduceFlowlet : public Flowlet {
     return INT64_MIN;
   }
 
-  // Drains the window ends first opened since the last call (the runtime
-  // logs them as kWindowOpen). Appends to *out.
-  virtual void take_opened_windows(std::vector<int64_t>* out) { (void)out; }
+  // Called once per folded bin, after its records (also when a malformed
+  // record cut the bin short). `grown_bytes` is what the bin's folds added to
+  // the accumulator table: the key bytes of each new entry plus every
+  // accumulator's growth (negative when folds shrank accumulators). Appends
+  // to *opened the window ends first opened since the last call (the runtime
+  // logs them as kWindowOpen).
+  virtual void on_bin_folded(int64_t grown_bytes, std::vector<int64_t>* opened) {
+    (void)grown_bytes;
+    (void)opened;
+  }
 };
 
 using FlowletFactory = std::function<std::unique_ptr<Flowlet>()>;

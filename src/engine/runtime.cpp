@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
 #include <optional>
 
 #include "common/hash.h"
@@ -28,10 +29,12 @@ uint32_t stage_of(std::string_view key) {
                                internal::kReduceStages);
 }
 
-uint32_t stripe_of(std::string_view key, uint32_t stripes) {
+// Takes the key's hash_bytes, which the caller also probes the stripe's table
+// with: one hash per folded record.
+uint32_t stripe_of(uint64_t key_hash, uint32_t stripes) {
   return stripes <= 1
              ? 0
-             : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x9d13) % stripes);
+             : static_cast<uint32_t>(hash_combine(key_hash, 0x9d13) % stripes);
 }
 
 // Reads a control message: the flowlet a COMPLETE for `job` names, or nothing
@@ -198,15 +201,16 @@ class TaskContext : public Context {
     auto* dst_flowlet = static_cast<PartialReduceFlowlet*>(
         job_->flowlets[edge.dst]->instance.get());
 
+    const uint64_t h = hash_bytes(key);
     const uint32_t si =
-        stripe_of(key, static_cast<uint32_t>(table->stripes.size()));
+        stripe_of(h, static_cast<uint32_t>(table->stripes.size()));
     internal::PartialTable::Stripe& stripe = table->stripes[si];
     bool overflow = false;
     {
       std::lock_guard<std::mutex> lock(stripe.mu);
       // Heterogeneous probe: the record's string_view goes straight into the
       // flat table, no per-fold std::string key.
-      std::string& acc = stripe.acc.find_or_insert(key);
+      std::string& acc = stripe.acc.find_or_insert(key, h);
       dst_flowlet->fold(key, value, acc);
       overflow = stripe.acc.size() > kCombineStripeKeys;
     }
@@ -654,8 +658,10 @@ void NodeRuntime::process_bin(QueueItem& item) {
                               : "task.stage";
   const TimePoint t0 = now();
   // on_bin_message checked only the header. Over TCP a record cut short
-  // comes from outside the process: the worker logs it and drops the rest of
-  // the bin, and the completion bookkeeping below still runs.
+  // comes from outside the process: every path keeps and accounts the
+  // records before it (mapped, folded or staged), the worker logs the error
+  // and drops the rest of the bin, and the completion bookkeeping below
+  // still runs.
   try {
     obs::TraceSpan span(task_name, "engine.task", node_id(), edge.dst, records);
     switch (fs.kind) {
@@ -796,28 +802,46 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
   internal::PartialTable& table = *fs.table;
   const uint32_t num_stripes = static_cast<uint32_t>(table.stripes.size());
 
-  // Fold record by record under the stripe lock; charge each stripe's
-  // serialized-update gate once per bin (batched cost model). Windowed
-  // flowlets route in-band watermark punctuation around the table (handled
-  // after the loop, outside any stripe lock).
-  KvPair record;
+  // Fold record by record under the stripe lock, tallying in locals what the
+  // epilogue accounts once per bin: each stripe's serialized-update gate
+  // (batched cost model), engine.folds, and for a windowed flowlet the bytes
+  // the table grew by (new keys plus accumulator growth), published with one
+  // write per bin because every worker of every node shares that counter.
+  // Windowed flowlets route in-band watermark punctuation around the table
+  // (handled in the epilogue, outside any stripe lock). A bin cut short by a
+  // malformed record keeps and accounts the records before it: the epilogue
+  // runs, then the error propagates to process_bin.
   std::vector<uint64_t> per_stripe(num_stripes, 0);
+  int64_t grown = 0;
   int64_t aligned = INT64_MIN;
-  while (bin.next(&record)) {
-    if (fs.stream_windowed && pr->is_punctuation(record.key)) {
-      const int64_t w = pr->on_punctuation(record.key, record.value);
-      if (w > aligned) aligned = w;
-      continue;
+  std::exception_ptr cut_short;
+  try {
+    KvPair record;
+    while (bin.next(&record)) {
+      if (fs.stream_windowed && pr->is_punctuation(record.key)) {
+        const int64_t w = pr->on_punctuation(record.key, record.value);
+        if (w > aligned) aligned = w;
+        continue;
+      }
+      const uint64_t h = hash_bytes(record.key);
+      const uint32_t si = stripe_of(h, num_stripes);
+      internal::PartialTable::Stripe& stripe = table.stripes[si];
+      {
+        std::lock_guard<std::mutex> lock(stripe.mu);
+        const size_t keys = stripe.acc.size();
+        // Heterogeneous probe: no std::string key materialized per fold.
+        std::string& acc = stripe.acc.find_or_insert(record.key, h);
+        const size_t before = acc.size();
+        pr->fold(record.key, record.value, acc);
+        grown += static_cast<int64_t>(acc.size()) - static_cast<int64_t>(before);
+        if (stripe.acc.size() != keys) {
+          grown += static_cast<int64_t>(record.key.size());
+        }
+      }
+      ++per_stripe[si];
     }
-    const uint32_t si = stripe_of(record.key, num_stripes);
-    internal::PartialTable::Stripe& stripe = table.stripes[si];
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      // Heterogeneous probe: no std::string key materialized per fold.
-      std::string& acc = stripe.acc.find_or_insert(record.key);
-      pr->fold(record.key, record.value, acc);
-    }
-    ++per_stripe[si];
+  } catch (const serde::DecodeError&) {
+    cut_short = std::current_exception();
   }
   uint64_t folds = 0;
   for (uint32_t si = 0; si < num_stripes; ++si) {
@@ -826,15 +850,20 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
     table.stripes[si].gate->charge(per_stripe[si]);
   }
   folds_c_->add(folds);
+  if (fs.stream_windowed) end_window_bin(flowlet, fs, *pr, grown, aligned);
+  if (cut_short) std::rethrow_exception(cut_short);
+}
 
-  if (!fs.stream_windowed) return;
-
-  // Log windows first opened by this bin, then arm the close barrier if the
-  // operator watermark advanced. kWindowOpen is logged before the bin's
-  // pending_bins decrement, and any close covering these windows needs that
-  // decrement, so in every legal log open precedes emit for the same end.
+void NodeRuntime::end_window_bin(FlowletId flowlet, internal::FlowletState& fs,
+                                 PartialReduceFlowlet& pr, int64_t grown,
+                                 int64_t aligned) {
+  // Publish the bin's table growth and log windows first opened by this bin,
+  // then arm the close barrier if the operator watermark advanced.
+  // kWindowOpen is logged before the bin's pending_bins decrement, and any
+  // close covering these windows needs that decrement, so in every legal log
+  // open precedes emit for the same end.
   std::vector<int64_t> opened;
-  pr->take_opened_windows(&opened);
+  pr.on_bin_folded(grown, &opened);
   if (opened.empty() && aligned == INT64_MIN) return;
   std::lock_guard<std::mutex> lock(fs.wm_mu);
   for (const int64_t end : opened) {
@@ -863,18 +892,19 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
   // Bucket the bin's records by sub-partition first, then stage each bucket
   // under a single lock acquisition. Bins carry hundreds of records, and the
   // per-record lock/unlock plus spill bookkeeping used to dominate the
-  // shuffle receive path. Record views stay valid while `bin` is alive.
+  // shuffle receive path. Record views stay valid while `bin` is alive, and
+  // each bucket is cleared once staged, so no view outlives the bin. A bin
+  // cut short by a malformed record stages the records before it, then the
+  // error propagates to process_bin.
   thread_local std::vector<std::vector<KvPair>> buckets(internal::kReduceStages);
-  KvPair record;
+  std::exception_ptr cut_short;
   try {
+    KvPair record;
     while (bin.next(&record)) {
       buckets[stage_of(record.key)].push_back(record);
     }
   } catch (const serde::DecodeError&) {
-    // The views point into this bin: stage none of it, and leave no view
-    // behind for this thread's next bin.
-    for (std::vector<KvPair>& bucket : buckets) bucket.clear();
-    throw;
+    cut_short = std::current_exception();
   }
 
   for (uint32_t si = 0; si < internal::kReduceStages; ++si) {
@@ -915,6 +945,7 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
                 static_cast<int64_t>(spill_bytes));
     }
   }
+  if (cut_short) std::rethrow_exception(cut_short);
 }
 
 void NodeRuntime::fire_reduce(FlowletId flowlet) {
@@ -1236,7 +1267,7 @@ void NodeRuntime::close_event_windows(FlowletId flowlet, int64_t watermark,
       for (auto& e : drained.entries()) {
         const int64_t end = pr->window_end_of(e.key);
         if (end != INT64_MIN && end <= watermark) continue;  // closes below
-        stripe.acc.find_or_insert(e.key) = std::move(e.acc);
+        stripe.acc.find_or_insert(e.key, e.hash) = std::move(e.acc);
       }
     }
     // Emit outside the stripe lock; `drained` keeps the key arena alive.

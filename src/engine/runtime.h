@@ -251,6 +251,11 @@ class NodeRuntime {
                        uint32_t attempt = 0);
   void stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs, BinView& bin);
   void fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs, BinView& bin);
+  // A windowed flowlet's per-bin epilogue: hands the flowlet the bytes the
+  // bin grew its table by, logs the windows it opened, and arms the close
+  // barrier when `aligned` advances the operator watermark.
+  void end_window_bin(FlowletId flowlet, internal::FlowletState& fs,
+                      PartialReduceFlowlet& pr, int64_t grown, int64_t aligned);
   // Advances the flowlet's processed-bin prefix past `index` (stream_windowed
   // close-barrier bookkeeping; see FlowletState::done_prefix).
   void mark_bin_done(internal::FlowletState& fs, uint64_t index);

@@ -125,8 +125,8 @@ class FusedPartialReduce : public engine::PartialReduceFlowlet {
   int64_t window_end_of(std::string_view key) const override {
     return producer_->window_end_of(key);
   }
-  void take_opened_windows(std::vector<int64_t>* out) override {
-    producer_->take_opened_windows(out);
+  void on_bin_folded(int64_t grown_bytes, std::vector<int64_t>* opened) override {
+    producer_->on_bin_folded(grown_bytes, opened);
   }
 
  private:

@@ -95,6 +95,7 @@ class LoserTree {
       : sources_(std::move(sources)),
         k_(sources_.size()),
         tree_(k_, 0),
+        prefix_(k_, 0),
         key_(k_),
         value_(k_),
         exhausted_(k_, false) {}
@@ -129,14 +130,19 @@ class LoserTree {
       key_[i] = {};
       value_[i] = {};
     }
+    prefix_[i] = key_prefix(key_[i]);
   }
 
   // True when source a must come out before source b. Exhausted sources
-  // always lose; key ties go to the smaller index (stability).
+  // always lose; the cached prefixes decide most pairs with one integer
+  // compare, one full key compare settles a prefix tie ("a" and "a\0" share
+  // a prefix), and key ties go to the smaller index (stability).
   bool wins(size_t a, size_t b) const {
     if (exhausted_[a]) return false;
     if (exhausted_[b]) return true;
-    if (key_[a] != key_[b]) return key_[a] < key_[b];
+    if (prefix_[a] != prefix_[b]) return prefix_[a] < prefix_[b];
+    const int c = key_[a].compare(key_[b]);
+    if (c != 0) return c < 0;
     return a < b;
   }
 
@@ -165,6 +171,7 @@ class LoserTree {
   std::vector<Source> sources_;
   size_t k_;
   std::vector<size_t> tree_;
+  std::vector<uint64_t> prefix_;  // key_prefix(key_[i]), set by advance()
   std::vector<std::string_view> key_;
   std::vector<std::string_view> value_;
   // vector<char>, not vector<bool>: flags are read in the comparator's

@@ -130,14 +130,19 @@ inline bool decode_punctuation(std::string_view value, uint32_t* origin,
 // --- live stream counters --------------------------------------------------
 // Shared between the flowlet instances of a running stream (captured into
 // the factories) and the StreamTicket's poll path. Lane-safe, unlike node
-// metrics, which are shared by every lane on a node.
+// metrics, which are shared by every lane on a node. Every worker of every
+// node writes the same block, so the window operator adds to window_bytes
+// once per folded bin (the bin's total table growth), never per event; it
+// subtracts once per emitted (window, key) result, so the count returns to 0
+// when every window has closed, and between bins it may lag or briefly dip
+// below 0.
 struct StreamStats {
   std::atomic<uint64_t> events_ingested{0};
   std::atomic<uint64_t> windows_emitted{0};   // distinct closed window ends
   std::atomic<uint64_t> results_emitted{0};   // (window, key) pairs emitted
   std::atomic<uint64_t> backpressure_stalls{0};
   std::atomic<int64_t> watermark{INT64_MIN};  // newest source watermark
-  std::atomic<int64_t> window_bytes{0};       // open-window accumulator bytes
+  std::atomic<int64_t> window_bytes{0};       // open-window key + acc bytes
 };
 
 }  // namespace hamr::stream

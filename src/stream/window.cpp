@@ -5,15 +5,7 @@ namespace hamr::stream {
 void EventWindowFlowlet::fold(std::string_view key, std::string_view value,
                               std::string& acc) {
   const bool fresh = acc.empty();
-  const size_t before = acc.size();
   fold_(window_key_user(key), value, acc);
-  StreamStats* stats = options_.stats.get();
-  if (stats != nullptr) {
-    const int64_t delta =
-        static_cast<int64_t>(acc.size()) - static_cast<int64_t>(before) +
-        (fresh ? static_cast<int64_t>(key.size()) : 0);
-    stats->window_bytes.fetch_add(delta, std::memory_order_relaxed);
-  }
   if (fresh) {
     const int64_t end = window_key_end(key);
     if (end != INT64_MIN) {
@@ -66,9 +58,16 @@ int64_t EventWindowFlowlet::on_punctuation(std::string_view key,
   return aligned;
 }
 
-void EventWindowFlowlet::take_opened_windows(std::vector<int64_t>* out) {
+void EventWindowFlowlet::on_bin_folded(int64_t grown_bytes,
+                                        std::vector<int64_t>* opened) {
+  // One shared write per bin: every worker of every node folds into the same
+  // StreamStats, so a write per event would contend on one cache line.
+  StreamStats* stats = options_.stats.get();
+  if (stats != nullptr && grown_bytes != 0) {
+    stats->window_bytes.fetch_add(grown_bytes, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  out->insert(out->end(), opened_.begin(), opened_.end());
+  opened->insert(opened->end(), opened_.begin(), opened_.end());
   opened_.clear();
 }
 

@@ -54,7 +54,7 @@ class EventWindowFlowlet : public engine::PartialReduceFlowlet {
   int64_t window_end_of(std::string_view key) const override {
     return window_key_end(key);
   }
-  void take_opened_windows(std::vector<int64_t>* out) override;
+  void on_bin_folded(int64_t grown_bytes, std::vector<int64_t>* opened) override;
 
  private:
   WindowFold fold_;
@@ -63,7 +63,7 @@ class EventWindowFlowlet : public engine::PartialReduceFlowlet {
   std::map<uint32_t, int64_t> origin_watermarks_;
   int64_t aligned_ = INT64_MIN;
   std::set<int64_t> open_ends_;
-  std::vector<int64_t> opened_;  // drained by take_opened_windows
+  std::vector<int64_t> opened_;  // drained by on_bin_folded
 };
 
 // Default sink: buffers final (window, key) -> value records per node and

@@ -313,25 +313,41 @@ TEST(Engine, MalformedControlAndBinMessagesAreDropped) {
   }
 }
 
-// Loads like SyntheticLoader, but node 0's first chunk first sends node 1 a
-// bin for the job's real edge 0 whose header is valid and whose first
-// record's key length runs past the end of the bin. The worker that
-// processes it must log it and drop it, not abort the process.
+// A bin for the job's real edge 0 from a fresh engine's first job (epoch 1)
+// whose header is valid and which claims `valid + 1` records: `valid` whole
+// records ("cut<i>", "c<i>"), then one whose key length runs past the end of
+// the bin.
+std::string bin_cut_short_after(uint32_t valid) {
+  std::string bin;
+  serde::put_varint(bin, 1);          // epoch
+  serde::put_varint(bin, 0);          // edge 0: the loader's out-edge
+  serde::put_varint(bin, valid + 1);  // record count
+  for (uint32_t i = 0; i < valid; ++i) {
+    const std::string key = "cut" + std::to_string(i);
+    const std::string value = "c" + std::to_string(i);
+    serde::put_varint(bin, key.size());
+    bin += key;
+    serde::put_varint(bin, value.size());
+    bin += value;
+  }
+  serde::put_varint(bin, 100);  // key length, but one byte follows
+  bin += "k";
+  return bin;
+}
+
+// Loads like SyntheticLoader, but node 0's first chunk first sends node 1
+// `bin`. The worker that processes it must log the malformed record and drop
+// the rest of the bin, not abort the process.
 class TruncatedBinLoader : public SyntheticLoader {
  public:
-  TruncatedBinLoader(cluster::Cluster* cluster, std::atomic<bool>* sent)
-      : cluster_(cluster), sent_(sent) {}
+  TruncatedBinLoader(cluster::Cluster* cluster, std::atomic<bool>* sent,
+                     std::string bin)
+      : cluster_(cluster), sent_(sent), bin_(std::move(bin)) {}
 
   bool load_chunk(const InputSplit& split, uint64_t* cursor, Context& ctx) override {
     if (ctx.node() == 0 && !sent_->exchange(true)) {
-      std::string bin;
-      serde::put_varint(bin, 1);    // epoch of a fresh engine's first job
-      serde::put_varint(bin, 0);    // edge 0: loader -> sink
-      serde::put_varint(bin, 1);    // record count
-      serde::put_varint(bin, 100);  // key length, but one byte follows
-      bin += "k";
       cluster_->node(0).router().endpoint()->send(1, net::msg_type::kEngineBin,
-                                                   bin);
+                                                   bin_);
     }
     return SyntheticLoader::load_chunk(split, cursor, ctx);
   }
@@ -339,6 +355,7 @@ class TruncatedBinLoader : public SyntheticLoader {
  private:
   cluster::Cluster* cluster_;
   std::atomic<bool>* sent_;
+  std::string bin_;
 };
 
 TEST(Engine, BinWithATruncatedRecordIsDroppedAndTheJobFinishes) {
@@ -346,7 +363,8 @@ TEST(Engine, BinWithATruncatedRecordIsDroppedAndTheJobFinishes) {
   std::atomic<bool> sent{false};
   FlowletGraph g;
   auto loader = g.add_loader("l", [&] {
-    return std::make_unique<TruncatedBinLoader>(&env.cluster, &sent);
+    return std::make_unique<TruncatedBinLoader>(&env.cluster, &sent,
+                                                bin_cut_short_after(0));
   });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
@@ -360,6 +378,76 @@ TEST(Engine, BinWithATruncatedRecordIsDroppedAndTheJobFinishes) {
     const std::string id = std::to_string(i);
     EXPECT_EQ(got.count("k" + id + "\tv" + id), 1u) << id;
   }
+}
+
+// The sink holds every synthetic record plus the `valid` records that
+// preceded the malformed one, each exactly once.
+void expect_records_and_prefix(const std::multiset<std::string>& got,
+                               uint32_t valid) {
+  EXPECT_EQ(got.size(), 400u + valid);
+  for (uint32_t i = 0; i < 400; ++i) {
+    const std::string id = std::to_string(i);
+    EXPECT_EQ(got.count("k" + id + "\tv" + id), 1u) << id;
+  }
+  for (uint32_t i = 0; i < valid; ++i) {
+    const std::string id = std::to_string(i);
+    EXPECT_EQ(got.count("cut" + id + "\tc" + id), 1u) << "prefix record " << id;
+  }
+}
+
+TEST(Engine, FoldEdgeKeepsAndCountsTheValidPrefixOfABinCutShort) {
+  class AppendPartial : public PartialReduceFlowlet {
+   public:
+    void fold(std::string_view, std::string_view value, std::string& acc) override {
+      acc.append(value);
+    }
+  };
+  Env env(4);
+  std::atomic<bool> sent{false};
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [&] {
+    return std::make_unique<TruncatedBinLoader>(&env.cluster, &sent,
+                                                bin_cut_short_after(3));
+  });
+  auto fold = g.add_partial_reduce(
+      "fold", [] { return std::make_unique<AppendPartial>(); });
+  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
+  g.connect(loader, fold);
+  g.connect(fold, sink);
+  const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
+  EXPECT_TRUE(sent.load());
+  // The three records before the malformed one were folded and counted.
+  EXPECT_EQ(result.metrics.counter("engine.folds"), 403u);
+  // 400 loaded records plus 403 emitted accumulators.
+  EXPECT_EQ(result.metrics.counter("engine.records"), 803u);
+  expect_records_and_prefix(collected(env.cluster), 3);
+}
+
+TEST(Engine, ReduceEdgeKeepsAndCountsTheValidPrefixOfABinCutShort) {
+  class ForwardReduce : public ReduceFlowlet {
+   public:
+    void reduce(std::string_view key, const std::vector<std::string_view>& values,
+                Context& ctx) override {
+      for (const std::string_view v : values) ctx.emit(0, key, v);
+    }
+  };
+  Env env(4);
+  std::atomic<bool> sent{false};
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [&] {
+    return std::make_unique<TruncatedBinLoader>(&env.cluster, &sent,
+                                                bin_cut_short_after(2));
+  });
+  auto red = g.add_reduce("r", [] { return std::make_unique<ForwardReduce>(); });
+  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
+  g.connect(loader, red);
+  g.connect(red, sink);
+  const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
+  EXPECT_TRUE(sent.load());
+  // The two records before the malformed one were staged and reduced: 400
+  // loaded records plus 402 forwarded by the reduce.
+  EXPECT_EQ(result.metrics.counter("engine.records"), 802u);
+  expect_records_and_prefix(collected(env.cluster), 2);
 }
 
 TEST(Engine, KeyRoutingSendsEachKeyToOneNode) {

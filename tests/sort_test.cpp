@@ -206,6 +206,64 @@ TEST(LoserTree, TiesBreakTowardSmallerSourceIndex) {
   EXPECT_EQ(merged[4].second, "s2-a");
 }
 
+TEST(LoserTree, KeysSharingTheirPrefixMergeByFullKey) {
+  // Every key shares its first 8 bytes with another, so the cached prefixes
+  // tie and the full keys decide; "\x80" and "\xff" bytes order unsigned.
+  const std::vector<std::string> keys = {
+      "prefix00",  "prefix00a", "prefix00b",  "prefix00\xff",
+      "prefix00\x80z", "prefix01", "prefix00ab", std::string("prefix00\0", 9)};
+  Rng rng(7);
+  std::vector<VecSource> sources(5);
+  std::vector<std::pair<std::string, std::string>> all;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    for (size_t i = 0; i < 40; ++i) {
+      sources[s].recs.emplace_back(keys[rng.next_below(keys.size())],
+                                   "s" + std::to_string(s));
+    }
+    std::stable_sort(sources[s].recs.begin(), sources[s].recs.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    all.insert(all.end(), sources[s].recs.begin(), sources[s].recs.end());
+  }
+  // Sources concatenated in index order, then a stable sort by key: the
+  // reference order of a merge whose key ties go to the smaller index.
+  std::stable_sort(all.begin(), all.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  storage::LoserTree<VecSource> tree(std::move(sources));
+  EXPECT_EQ(drain(tree), all);
+}
+
+TEST(LoserTree, ShorterKeyWinsAPrefixTieWithTrailingZero) {
+  // "a" and "a\0" have the same 8-byte prefix; "a" is smaller even though
+  // it sits in the larger source index.
+  std::vector<VecSource> sources(2);
+  sources[0].recs = {{std::string("a\0", 2), "s0"}};
+  sources[1].recs = {{"a", "s1"}, {std::string("a\0", 2), "s1"}};
+  storage::LoserTree<VecSource> tree(std::move(sources));
+  const auto merged = drain(tree);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0], (std::pair<std::string, std::string>{"a", "s1"}));
+  EXPECT_EQ(merged[1].first, std::string("a\0", 2));
+  EXPECT_EQ(merged[1].second, "s0");
+  EXPECT_EQ(merged[2].second, "s1");
+}
+
+TEST(LoserTree, EqualLongKeysAcrossSourcesComeOutBySourceIndex) {
+  // Equal keys longer than the prefix tie on prefix and on the full key.
+  const std::string key = "a-key-longer-than-eight-bytes";
+  std::vector<VecSource> sources(4);
+  sources[3].recs = {{key, "s3"}};
+  sources[1].recs = {{key, "s1-a"}, {key, "s1-b"}};
+  sources[2].recs = {{"a-key-", "s2"}, {key, "s2"}};
+  sources[0].recs = {{key, "s0"}, {key + "!", "s0"}};
+  storage::LoserTree<VecSource> tree(std::move(sources));
+  const auto merged = drain(tree);
+  std::vector<std::string> order;
+  for (const auto& [k, v] : merged) order.push_back(v);
+  EXPECT_EQ(order, (std::vector<std::string>{"s2", "s0", "s1-a", "s1-b", "s2",
+                                             "s3", "s0"}));
+  EXPECT_EQ(merged.back().first, key + "!");
+}
+
 TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
   {
     std::vector<VecSource> one(1);

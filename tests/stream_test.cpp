@@ -640,3 +640,107 @@ TEST(StreamRpc, DrainVerbWindsDownARemoteStream) {
   EXPECT_EQ(result.status, service::JobStatus::kDone);
   EXPECT_FALSE(result.payload.empty());
 }
+
+// --- window-byte accounting ----------------------------------------------------
+
+namespace {
+
+// Appends one byte per counted event, so every fold grows its accumulator
+// and every fold's window-byte delta is non-zero.
+void tally_fold(std::string_view, std::string_view value, std::string& acc) {
+  acc.append(std::stoull(std::string(value)), '.');
+}
+
+// One stream per node: event i of node n has key "n<n>k<i % 16>", value "1",
+// so the sink output tells how far each node's source got.
+StreamPipeline tally_pipeline(GeneratorConfig gen, WindowSpec window,
+                              const std::string& out_dir) {
+  gen.make = [](const engine::InputSplit& split, uint64_t i, std::string* key,
+                std::string* value) {
+    *key = "n" + std::to_string(split.preferred_node) + "k" +
+           std::to_string(i % 16);
+    *value = "1";
+  };
+  StreamPipeline p = count_pipeline(gen, window, out_dir);
+  p.fold = tally_fold;
+  return p;
+}
+
+// Per-(window, key) counts of a tally pipeline's sink output.
+std::map<std::string, uint64_t> tally_counts(const std::string& payload) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [key, value] : parse_sink(payload)) {
+    EXPECT_EQ(value.find_first_not_of('.'), std::string::npos) << key;
+    out[key] = value.size();
+  }
+  return out;
+}
+
+// Reference counts when node n's source emitted its first `emitted[n]`
+// events (all nodes share the generator's event-time schedule).
+std::map<std::string, uint64_t> tally_reference(
+    const GeneratorConfig& gen, WindowSpec window,
+    const std::vector<uint64_t>& emitted) {
+  GeneratorSource src(gen);
+  std::map<std::string, uint64_t> counts;
+  for (uint32_t n = 0; n < emitted.size(); ++n) {
+    for (uint64_t i = 0; i < emitted[n]; ++i) {
+      const std::string key =
+          "n" + std::to_string(n) + "k" + std::to_string(i % 16);
+      window.each_window(src.event_ts(i),
+                         [&](int64_t end) { counts[window_key(end, key)] += 1; });
+    }
+  }
+  return counts;
+}
+
+}  // namespace
+
+TEST(StreamService, WindowBytesReturnToZeroAfterBoundedReplay) {
+  ServiceEnv env;  // 2 nodes x 2 workers
+  GeneratorConfig gen;
+  gen.total_events = 4000;
+  gen.period_us = 100;
+  gen.jitter_us = 500;
+  gen.seed = 5;
+  const WindowSpec window{.size_us = 10'000};
+  auto ticket =
+      env.streams.start(tally_pipeline(gen, window, "wb/bounded"), StreamSpec{});
+  ASSERT_EQ(ticket->wait(std::chrono::seconds(60)), service::JobStatus::kDone);
+
+  const StreamTicket::Progress p = ticket->poll();
+  EXPECT_EQ(p.window_bytes, 0);
+  EXPECT_EQ(p.events_ingested, 2 * gen.total_events);
+  EXPECT_EQ(tally_counts(ticket->payload()),
+            tally_reference(gen, window, {gen.total_events, gen.total_events}));
+}
+
+TEST(StreamService, WindowBytesReturnToZeroAfterDrain) {
+  ServiceEnv env;  // 2 nodes x 2 workers
+  GeneratorConfig gen;  // unbounded: runs until drained
+  gen.period_us = 100;
+  const WindowSpec window{.size_us = 10'000};
+  StreamSpec spec;
+  spec.duration = std::chrono::seconds(30);  // drained long before this
+  auto ticket = env.streams.start(tally_pipeline(gen, window, "wb/drained"), spec);
+  for (int i = 0; i < 4000; ++i) {
+    if (ticket->poll().events_ingested >= 20'000) break;
+    std::this_thread::sleep_for(millis(1));
+  }
+  EXPECT_TRUE(ticket->drain());
+  ASSERT_EQ(ticket->wait(std::chrono::seconds(30)), service::JobStatus::kDone);
+
+  const StreamTicket::Progress p = ticket->poll();
+  EXPECT_EQ(p.window_bytes, 0);
+  // How far each node's source got, read back from its keys' counts.
+  const auto got = tally_counts(ticket->payload());
+  std::vector<uint64_t> emitted(2, 0);
+  for (const auto& [key, count] : got) {
+    const std::string_view user = window_key_user(key);
+    ASSERT_GE(user.size(), 2u) << key;
+    emitted.at(user[1] - '0') += count;
+  }
+  EXPECT_EQ(emitted[0] + emitted[1], p.events_ingested);
+  EXPECT_GT(p.events_ingested, 0u);
+  EXPECT_EQ(got, tally_reference(gen, window, emitted));
+}
